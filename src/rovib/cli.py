@@ -4,10 +4,10 @@ cli.py
 Command line front end.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
-database, bad index syntax), 3 when a requested computation fails; in
-the latter case whatever could be computed is still printed and the
-failures go to stderr.  Identical arguments and database give
-byte-identical output.
+database, bad index syntax, a request above MAX_INDICES or MAX_PAIRS),
+3 when a requested computation fails; in the latter case whatever could
+be computed is still printed and the failures go to stderr.  Identical
+arguments and database give byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
 STANDARD_J = "0,1,2,3,4,5,10,15,20"
+MAX_INDICES = 10_000  # indices in one --nu or --J list
+MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
 
 
 @dataclass(frozen=True)
@@ -60,26 +62,41 @@ class RunConfig:
 
 
 def parse_index_list(text: str, label: str) -> tuple[int, ...]:
-    """Parse '0,3,5' or '0..9' (or a mix) into a tuple of indices."""
+    """Parse '0,3,5' or '0..9' (or a mix) into a tuple of indices.
+
+    At most MAX_INDICES indices; a span is counted before it is expanded.
+    """
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
         try:
-            if ".." in token:
-                lo_text, _, hi_text = token.partition("..")
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise ValueError
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(token))
+            lo_text, dots, hi_text = token.partition("..")
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+            if hi < lo:
+                raise ValueError
         except ValueError:
             raise click.BadParameter(
                 f"bad {label} token {token!r}; use e.g. '0,3,5' or '0..9'"
             ) from None
+        if len(out) + hi - lo + 1 > MAX_INDICES:
+            raise click.BadParameter(f"{label} lists more than {MAX_INDICES} indices")
+        out.extend(range(lo, hi + 1))
     if not out or any(i < 0 for i in out):
         raise click.BadParameter(f"{label} indices must be non-negative")
     return tuple(out)
+
+
+def parse_grid(nu_spec: str, j_spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The --nu and --J lists of one request, at most MAX_PAIRS pairs."""
+    nu_list = parse_index_list(nu_spec, "--nu")
+    J_list = parse_index_list(j_spec, "--J")
+    if len(nu_list) * len(J_list) > MAX_PAIRS:
+        raise click.UsageError(
+            f"--nu x --J asks for {len(nu_list) * len(J_list)} levels; "
+            f"the limit is {MAX_PAIRS}"
+        )
+    return nu_list, J_list
 
 
 def _load(db_path: str | None):
@@ -204,7 +221,7 @@ def cmd_compare(config: RunConfig) -> tuple[str, list[str]]:
     return text, [f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures]
 
 
-def cmd_varshni(config: RunConfig) -> str:
+def cmd_varshni(config: RunConfig) -> tuple[str, list[str]]:
     """Minimum-condition residuals plus shape and range parameters."""
     params = _molecule_params(config)
     derived = derive(params)
@@ -219,16 +236,26 @@ def cmd_varshni(config: RunConfig) -> str:
         if params.beta_table
         else None
     )
-    corrected = alpha_dmrm(params, derived, "corrected")
-    try:
-        published = alpha_dmrm(params, derived, "as_published")
-        published_note = f"{published:.6f}"
-        difference_note = f"{corrected - published:.6e}   (unequal)"
-    except ValueError as exc:
-        # e.g. O2: the published exponent pushes the W argument below -1/e
-        published = None
-        published_note = f"no real value ({exc})"
-        difference_note = "undefined (published variant leaves the real domain)"
+    alpha, notes = {}, {}
+    for variant in ("corrected", "as_published"):
+        try:
+            alpha[variant] = alpha_dmrm(params, derived, variant)
+            notes[variant] = f"{alpha[variant]:.6f}"
+        except ValueError as exc:
+            # e.g. O2: the published exponent pushes the W argument below -1/e
+            alpha[variant] = None
+            notes[variant] = f"no real value ({exc})"
+    corrected, published = alpha["corrected"], alpha["as_published"]
+    if corrected is None or published is None:
+        difference = None
+        which = "published" if published is None else "corrected"
+        difference_note = f"undefined ({which} variant leaves the real domain)"
+    else:
+        difference = corrected - published
+        difference_note = f"{difference:.6e}   (unequal)"
+    failures = []
+    if corrected is None:
+        failures.append(f"error: alpha_w_corrected: {notes['corrected']}")
     if config.output_format == "json":
         return json.dumps({
             "molecule": config.molecule,
@@ -246,10 +273,8 @@ def cmd_varshni(config: RunConfig) -> str:
             "beta_rel_diff": beta_rel,
             "alpha_w_corrected_inv_A": corrected,
             "alpha_w_as_published_inv_A": published,
-            "alpha_w_difference_inv_A": (
-                corrected - published if published is not None else None
-            ),
-        }, indent=2)
+            "alpha_w_difference_inv_A": difference,
+        }, indent=2), failures
     pole_note = (
         f"{pole:.6f}" if pole is not None else "none for r > 0"
     )
@@ -272,11 +297,11 @@ def cmd_varshni(config: RunConfig) -> str:
             f"{agree} the tabulated one (rel diff {beta_rel:.2e})"
         )
     lines += [
-        f"alpha_w_corrected_inv_A      {corrected:.6f}",
-        f"alpha_w_as_published_inv_A   {published_note}",
+        f"alpha_w_corrected_inv_A      {notes['corrected']}",
+        f"alpha_w_as_published_inv_A   {notes['as_published']}",
         f"alpha_w_difference_inv_A     {difference_note}",
     ]
-    return "\n".join(lines)
+    return "\n".join(lines), failures
 
 
 def cmd_morse(config: RunConfig) -> tuple[str, list[str]]:
@@ -354,6 +379,15 @@ def cmd_approx_error(config: RunConfig, points: int) -> str:
     ])
 
 
+def _emit(text: str, failures: list[str]) -> None:
+    """Print the output, then any failures to stderr with exit code 3."""
+    click.echo(text)
+    for line in failures:
+        click.echo(line, err=True)
+    if failures:
+        sys.exit(EXIT_COMPUTE)
+
+
 # ---------------------------------------------------------------------------
 # click surface
 
@@ -395,21 +429,17 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
 
         rovib levels O2 --nu 0 --unit roy_eV
     """
+    nu_list, J_list = parse_grid(nu_spec, j_spec)
     config = RunConfig(
         molecule=molecule,
-        nu_list=parse_index_list(nu_spec, "--nu"),
-        J_list=parse_index_list(j_spec, "--J"),
+        nu_list=nu_list,
+        J_list=J_list,
         energy_unit=unit,
         output_format=fmt,
         mode="closed",
         db=db,
     )
-    text, failures = cmd_levels(config)
-    click.echo(text)
-    if failures:
-        for line in failures:
-            click.echo(line, err=True)
-        sys.exit(EXIT_COMPUTE)
+    _emit(*cmd_levels(config))
 
 
 @cli.command()
@@ -431,10 +461,11 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
 
         rovib compare O2 --nu 0 --J 0 --grid-points 20000 --format csv
     """
+    nu_list, J_list = parse_grid(nu_spec, j_spec)
     config = RunConfig(
         molecule=molecule,
-        nu_list=parse_index_list(nu_spec, "--nu"),
-        J_list=parse_index_list(j_spec, "--J"),
+        nu_list=nu_list,
+        J_list=J_list,
         output_format=fmt,
         mode="compare",
         db=db,
@@ -445,11 +476,7 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
     except ResolutionError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_COMPUTE)
-    click.echo(text)
-    if failures:
-        for line in failures:
-            click.echo(line, err=True)
-        sys.exit(EXIT_COMPUTE)
+    _emit(text, failures)
 
 
 @cli.command()
@@ -472,7 +499,7 @@ def varshni(molecule, fmt, db) -> None:
     config = RunConfig(
         molecule=molecule, output_format=fmt, mode="varshni", db=db
     )
-    click.echo(cmd_varshni(config))
+    _emit(*cmd_varshni(config))
 
 
 @cli.command()
@@ -498,12 +525,7 @@ def morse(molecule, nu_spec, unit, fmt, db) -> None:
         mode="morse",
         db=db,
     )
-    text, failures = cmd_morse(config)
-    click.echo(text)
-    if failures:
-        for line in failures:
-            click.echo(line, err=True)
-        sys.exit(EXIT_COMPUTE)
+    _emit(*cmd_morse(config))
 
 
 @cli.command("approx-error")

@@ -42,7 +42,8 @@ class SpectroscopicParams:
     shape (deformation) parameter of the Tietz-Hua form; ``eta = 1``
     degenerates the potential and is rejected.  ``beta_table`` optionally
     carries a tabulated Morse constant for consistency reports; the
-    package otherwise works with the value derived from we.
+    package otherwise works with the value derived from we.  Every number
+    must be finite.
     """
 
     name: str
@@ -55,6 +56,10 @@ class SpectroscopicParams:
     beta_table: float | None = None
 
     def __post_init__(self) -> None:
+        for field in ("De", "re", "we", "mu", "alpha", "eta", "beta_table"):
+            value = getattr(self, field)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value}")
         for field in ("De", "re", "we", "mu", "alpha"):
             value = getattr(self, field)
             if not value > 0.0:
@@ -92,9 +97,10 @@ def derive(params: SpectroscopicParams) -> DerivedParams:
     Ke = params.we**2 / (2.0 * kinetic_factor(params.mu))
     beta = math.sqrt(Ke / (2.0 * params.De))
     eu = math.exp(u)
-    if q == 0.0:
-        # Morse limit: the Schioberg offset coefficient runs away while
-        # A (B + 1)^2 stays De; B itself is well defined (-1).
+    if q**2 == 0.0:
+        # Morse limit (q = 0, or so close that q^2 underflows): the
+        # Schioberg offset coefficient runs away while A (B + 1)^2 stays
+        # De; B itself is well defined (-1).
         A = math.inf
     else:
         A = params.De * (eu + q) ** 2 / (4.0 * q**2)

@@ -39,7 +39,8 @@ class FactorizationCoefficients:
 
 @dataclass(frozen=True)
 class EffectiveCoefficients:
-    """P-form coefficients shifted by the centrifugal expansion."""
+    """P-form coefficients shifted by the centrifugal expansion; the
+    numbers are arrays over J when built for an array of J."""
 
     Pt1: float  # cm^-1
     Pt2: float
@@ -66,9 +67,10 @@ def badawi_coefficients(u: float, eta: float) -> FactorizationCoefficients:
     return FactorizationCoefficients(C1=C1, C2=C2, C3=C3, u=u, eta=eta)
 
 
-def centrifugal_strength(J: int, mu: float, re: float) -> float:
-    """gamma = J(J+1) hbar^2/(2 mu) / re^2 in cm^-1."""
-    if J < 0 or J != int(J):
+def centrifugal_strength(J, mu: float, re: float):
+    """gamma = J(J+1) hbar^2/(2 mu) / re^2 in cm^-1, for one J or an array."""
+    values = np.asarray(J)
+    if (values < 0).any() or (values % 1).any():
         raise ValueError(f"J must be a non-negative integer, got {J}")
     if re <= 0.0:
         raise ValueError(f"re must be positive, got {re}")
@@ -82,7 +84,10 @@ def effective_coefficients(
     mu: float,
     re: float,
 ) -> EffectiveCoefficients:
-    """Pt_i = P_i + gamma C_i; at J = 0 the P-form passes through."""
+    """Pt_i = P_i + gamma C_i; at J = 0 the P-form passes through.
+
+    J may be an array of indices; Pt_i and gamma are then arrays too.
+    """
     gamma = centrifugal_strength(J, mu, re)
     return EffectiveCoefficients(
         Pt1=pform.P1 + gamma * coeffs.C1,

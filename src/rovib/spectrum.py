@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .potentials import (
     PForm,
     SingularRadiusError,
@@ -70,13 +72,14 @@ class LevelFailure:
     error: str
 
 
-def _check_quantum_number(label: str, value: int) -> None:
+def _index_error(label: str, value: int) -> ValueError | None:
     if value != int(value) or value < 0:
-        raise ValueError(f"{label} must be a non-negative integer, got {value}")
+        return ValueError(f"{label} must be a non-negative integer, got {value}")
+    return None
 
 
 def _shorthands(pform: PForm, eff: EffectiveCoefficients, mu: float):
-    if pform.q == 0.0:
+    if pform.q**2 == 0.0:  # q = 0, or so close that q^2 underflows
         raise MorseLimitError(
             "q = 0 has no P-form spectrum; use morse_vibrational_energy"
         )
@@ -87,9 +90,55 @@ def _shorthands(pform: PForm, eff: EffectiveCoefficients, mu: float):
     return k, T, D
 
 
-def energy(
-    pform: PForm, eff: EffectiveCoefficients, nu: int, mu: float
-) -> EnergyLevel:
+def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_errors):
+    """Rows and (nu, J, error) failures on the nu x J grid, row-major.
+
+    The one closed-form kernel: eff holds Pt1..Pt3 as len(J) arrays (or
+    scalars), so T and D are per J, s and E per cell.  A cell fails with
+    the first of its J error, a bad nu, q = 0, D < 0 and s = 0.
+    """
+    nu_errors = [_index_error("nu", nu) for nu in nu_list]
+    try:
+        k, T, D = _shorthands(pform, eff, mu)
+    except MorseLimitError as exc:
+        return [], [(nu, J, e or n or exc) for nu, n in zip(nu_list, nu_errors)
+                    for J, e in zip(J_list, J_errors)]
+    nus = np.asarray(nu_list, dtype=float)[:, None]
+    s = np.copysign(np.sqrt(np.maximum(D, 0.0)), pform.q) - (1.0 + 2.0 * nus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = T / s - s / 4.0
+        # float_power squares with libm pow as float ** 2 does; ** and
+        # np.power on arrays round a few cells per 10^4 differently
+        E = eff.Pt1 - k * pform.b**2 * np.float_power(bracket, 2.0)
+    D = np.atleast_1d(D)  # per J; a scalar when eff holds one J
+    failed = (D < 0.0) | (s == 0.0) | np.array([e is not None for e in J_errors])
+    failed[[e is not None for e in nu_errors]] = True
+    rows = [
+        EnergyLevel(nu, J, E_cell, bound)
+        for nu, E_row, bound_row, failed_row in zip(
+            nu_list, E.tolist(), (bracket < 0.0).tolist(), failed.tolist())
+        for J, E_cell, bound, bad in zip(J_list, E_row, bound_row, failed_row)
+        if not bad
+    ]
+    failures = []
+    for i, j in np.argwhere(failed).tolist():
+        nu, J = nu_list[i], J_list[j]
+        failures.append((nu, J, J_errors[j] or nu_errors[i] or ValueError(
+            f"no real solution: discriminant {D[j]:.6g} < 0 at nu={nu}, J={J}"
+            if D[j] < 0.0
+            else f"degenerate quantum-number shift s = 0 at nu={nu}, J={J}"
+        )))
+    return rows, failures
+
+
+def _single(table) -> EnergyLevel:
+    rows, failures = table
+    if failures:
+        raise failures[0][2]
+    return rows[0]
+
+
+def energy(pform: PForm, eff: EffectiveCoefficients, nu: int, mu: float) -> EnergyLevel:
     """Closed-form level energy; (b, q) from pform, Pt_i from eff.
 
     Raises MorseLimitError for q = 0 and ValueError when the
@@ -97,20 +146,7 @@ def energy(
     the monotone range in nu the value is still returned, flagged
     bound=False.
     """
-    _check_quantum_number("nu", nu)
-    k, T, D = _shorthands(pform, eff, mu)
-    if D < 0.0:
-        raise ValueError(
-            f"no real solution: discriminant {D:.6g} < 0 at nu={nu}, J={eff.J}"
-        )
-    s = -(1.0 + 2.0 * nu) + math.copysign(math.sqrt(D), pform.q)
-    if s == 0.0:
-        raise ValueError(
-            f"degenerate quantum-number shift s = 0 at nu={nu}, J={eff.J}"
-        )
-    bracket = T / s - s / 4.0
-    E = eff.Pt1 - k * pform.b**2 * bracket**2
-    return EnergyLevel(nu=nu, J=eff.J, E=E, bound=bracket < 0.0)
+    return _single(_table(pform, eff, [nu], [eff.J], mu, [None]))
 
 
 def susy_intermediates(
@@ -146,26 +182,21 @@ def wavefunction(
 ) -> WavefunctionSample:
     """Unnormalized nodeless ground state at one radius.
 
-    ln psi(r) = Q1t r - (Q2t / (b q)) ln(1 + q e^{-b r}); the log-domain
-    form keeps large exponents from overflowing, and the amplitude may
-    underflow to 0 far from the well, which is harmless for ratio and
-    decay checks.
+    The amplitude may underflow to 0 far from the well, which is
+    harmless for ratio and decay checks.
     """
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    arg = pform.q * math.exp(-pform.b * r)
-    if arg <= -1.0:
-        raise SingularRadiusError("radius at or inside a pole of the potential")
-    ln_psi = intermediates.Q1t * r - (
-        intermediates.Q2t / (pform.b * pform.q)
-    ) * math.log1p(arg)
-    return WavefunctionSample(r=r, value=math.exp(ln_psi))
+    return WavefunctionSample(
+        r=r, value=math.exp(log_wavefunction(intermediates, pform, r))
+    )
 
 
 def log_wavefunction(
     intermediates: SusyIntermediates, pform: PForm, r: float
 ) -> float:
-    """ln of the unnormalized ground state; for decay-rate checks."""
+    """ln psi(r) = Q1t r - (Q2t / (b q)) ln(1 + q e^{-b r}).
+
+    The log-domain form keeps large exponents from overflowing.
+    """
     if r <= 0.0:
         raise ValueError(f"r must be positive, got {r}")
     arg = pform.q * math.exp(-pform.b * r)
@@ -182,7 +213,8 @@ def morse_vibrational_energy(De: float, we: float, nu: int) -> float:
     Valid while nu + 1/2 < 2 De / we; beyond that the Morse well holds
     no further bound states and ValueError is raised.
     """
-    _check_quantum_number("nu", nu)
+    if error := _index_error("nu", nu):
+        raise error
     if De <= 0.0 or we <= 0.0:
         raise ValueError("De and we must be positive")
     x = nu + 0.5
@@ -194,33 +226,34 @@ def morse_vibrational_energy(De: float, we: float, nu: int) -> float:
 
 
 def level(params: SpectroscopicParams, nu: int, J: int) -> EnergyLevel:
-    """Full pipeline for one level: derive, factorize, shift, solve."""
-    _check_quantum_number("J", J)
-    derived = derive(params)
-    pform = to_pform(from_params(params))
-    coeffs = badawi_coefficients(derived.u, params.eta)
-    eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
-    return energy(pform, eff, nu, params.mu)
+    """One level: the single cell of level_table, raising its failure."""
+    return _single(_levels(params, [nu], [J]))
+
+
+def _levels(params: SpectroscopicParams, nu_list, J_list):
+    J_errors = [_index_error("J", J) for J in J_list]
+    try:  # once per molecule; an error here fails every cell but bad-J ones
+        derived = derive(params)
+        pform = to_pform(from_params(params))
+        coeffs = badawi_coefficients(derived.u, params.eta)
+        J = np.array([0 if e else J for J, e in zip(J_list, J_errors)], dtype=float)
+        eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
+    except ValueError as exc:
+        return [], [(nu, J, e or exc) for nu in nu_list
+                    for J, e in zip(J_list, J_errors)]
+    return _table(pform, eff, nu_list, J_list, params.mu, J_errors)
 
 
 def level_table(
-    params: SpectroscopicParams,
-    nu_list: list[int],
-    J_list: list[int],
+    params: SpectroscopicParams, nu_list: list[int], J_list: list[int]
 ) -> tuple[list[EnergyLevel], list[LevelFailure]]:
     """Levels for every (nu, J) pair, row-major in nu then J.
 
-    Entries that fail (negative discriminant, Morse limit) are collected
+    One array pass of the closed form covers the grid.  Entries that
+    fail (bad index, negative discriminant, Morse limit) are collected
     as LevelFailure records instead of aborting the table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")
-    rows: list[EnergyLevel] = []
-    failures: list[LevelFailure] = []
-    for nu in nu_list:
-        for J in J_list:
-            try:
-                rows.append(level(params, nu, J))
-            except (ValueError, SingularRadiusError) as exc:
-                failures.append(LevelFailure(nu=nu, J=J, error=str(exc)))
-    return rows, failures
+    rows, failures = _levels(params, nu_list, J_list)
+    return rows, [LevelFailure(nu, J, str(error)) for nu, J, error in failures]

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from rovib import __version__
-from rovib.cli import cli, parse_index_list
+from rovib import cli as cli_module
+from rovib.cli import MAX_INDICES, MAX_PAIRS, cli, parse_index_list
 from rovib.spectrum import level
 from rovib.units import wavenumber_to_roy_ev
 
@@ -187,6 +188,58 @@ def test_varshni_json(runner):
     data = json.loads(runner.invoke(cli, ["varshni", "NO", "--format", "json"]).stdout)
     assert abs(data["alpha_w_difference_inv_A"]) > 1.0e-6
     assert data["q"] == pytest.approx(-0.31262637, abs=1.0e-8)
+
+
+def test_varshni_corrected_domain_failure_exits_3(runner, tmp_path):
+    # eta = 0.9 puts the corrected Lambert-W argument at -2.73 < -1/e:
+    # the report is still printed, without a traceback, and exits 3
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\n{ZZ_ROW.replace('0.013727', '0.9')}\n")
+    for fmt in ("text", "json"):
+        result = runner.invoke(
+            cli, ["varshni", "ZZ", "--format", fmt, "--db", str(custom)]
+        )
+        assert result.exit_code == 3
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: alpha_w_corrected: no real value" in result.stderr
+        assert "-2.73" in result.stderr
+    assert json.loads(result.stdout)["alpha_w_corrected_inv_A"] is None
+
+
+@pytest.mark.parametrize("old, new", [("0.013727", "nan"), ("53341.0", "inf")])
+def test_non_finite_database_value_is_usage_error(runner, tmp_path, old, new):
+    # a non-finite number stops at load time instead of failing once per
+    # level (eta = nan) or printing nan energies (De = inf)
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\n{ZZ_ROW.replace(old, new)}\n")
+    result = runner.invoke(
+        cli, ["levels", "ZZ", "--format", "csv", "--db", str(custom)]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "must be finite" in result.stderr
+
+
+def test_index_list_cap_counts_spans_before_expanding():
+    assert len(parse_index_list(f"0..{MAX_INDICES - 1}", "--nu")) == MAX_INDICES
+    for text in (f"0..{MAX_INDICES}", f"5,0..{MAX_INDICES - 1}",
+                 ",".join(["1"] * (MAX_INDICES + 1))):
+        with pytest.raises(click.BadParameter, match="more than"):
+            parse_index_list(text, "--nu")
+
+
+def test_pair_cap_is_a_usage_error(runner, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a capped request reached the computation")
+
+    monkeypatch.setattr(cli_module, "level_table", not_called)
+    monkeypatch.setattr(cli_module, "deviation_report", not_called)
+    side = int(MAX_PAIRS**0.5) + 1  # side * side pairs, each list far below the cap
+    spec = f"0..{side - 1}"
+    for command in ("levels", "compare"):
+        result = runner.invoke(cli, [command, "NO", "--nu", spec, "--J", spec])
+        assert result.exit_code == 2
+        assert f"the limit is {MAX_PAIRS}" in result.stderr
 
 
 def test_approx_error_csv(runner):

@@ -110,6 +110,17 @@ def test_parameter_validation_names_molecule_and_line(tmp_path):
     assert ":2: XX:" in str(err.value)
 
 
+@pytest.mark.parametrize("column, old, new", [
+    ("eta", "0.05", "nan"),
+    ("De_cm1", "50000.0", "inf"),
+])
+def test_non_finite_values_rejected(tmp_path, column, old, new):
+    path = write_db(tmp_path, f"{HEADER}\n{ROW.replace(old, new, 1)}\n")
+    with pytest.raises(DatabaseError, match="must be finite") as err:
+        load_database(path)
+    assert ":2: XX:" in str(err.value)
+
+
 def test_empty_and_headerless_files(tmp_path):
     with pytest.raises(DatabaseError, match="no header"):
         load_database(write_db(tmp_path, "# only comments\n", name="a.txt"))

@@ -115,6 +115,18 @@ def test_positive_parameters_required(field, bad):
         SpectroscopicParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field", ["De", "re", "we", "mu", "alpha", "eta", "beta_table"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(field, bad):
+    kwargs = dict(name="X", De=5.0e4, re=1.2, we=1800.0, mu=7.5,
+                  alpha=1.3, eta=0.05, beta_table=2.7)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SpectroscopicParams(**kwargs)
+
+
 def test_degenerate_eta_rejected():
     with pytest.raises(ValueError, match="eta"):
         synthetic(eta=1.0)

@@ -1,6 +1,9 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rovib.potentials import (
     PForm,
@@ -243,3 +246,128 @@ def test_quantum_number_validation(db):
         energy(pf, eff, -1, p.mu)
     with pytest.raises(ValueError):
         level(p, 0, -2)
+
+
+# repr of E from the per-level scalar closed form (Python floats, x**2);
+# the array kernel must reproduce them bit for bit
+PINNED_E_REPR = {
+    ("NO", 0, 0): "947.7568475652442",
+    ("O2", 3, 10): "5416.478910882004",
+    ("O2+", 5, 20): "10489.71792820828",
+    ("N2", 9, 0): "20877.560480790853",
+    ("NO", 40, 150): "66547.84709538778",
+    ("NO", 60, 0): "53066.14613173167",
+    ("N2", 100, 200): "47441.70058604357",
+    # cells where squaring with x * x instead of pow changes the last bit
+    ("NO", 1, 80): "13360.364055660022",
+    ("NO", 23, 15): "35579.675105270006",
+    ("NO", 33, 130): "60566.08937322443",
+    ("O2", 6, 64): "14760.50979260097",
+    ("O2+", 7, 102): "28384.877842437723",
+    ("N2", 4, 24): "11410.33969516668",
+    ("N2", 4, 134): "42842.94606055448",
+    ("N2", 5, 71): "21939.592011612818",
+}
+
+
+def test_pinned_energies_are_bit_identical(db):
+    for (name, nu, J), want in PINNED_E_REPR.items():
+        assert repr(level(db.get(name), nu, J).E) == want
+        rows, _ = level_table(db.get(name), [nu], [J])
+        assert repr(rows[0].E) == want
+
+
+def test_table_rows_hold_plain_python_values(db):
+    rows, failures = level_table(db.get("NO"), [0, 60], [0, 5])
+    assert not failures
+    for row in rows:
+        assert type(row.nu) is int and type(row.J) is int
+        assert type(row.E) is float and type(row.bound) is bool
+    assert [row.bound for row in rows] == [True, True, False, False]
+    json.dumps([row.__dict__ for row in rows])
+
+
+def test_table_failures_keep_level_messages_and_order(db):
+    p = db.get("NO")
+    rows, failures = level_table(p, [-1, 0], [-2, 0, 1300])
+    assert [(r.nu, r.J) for r in rows] == [(0, 0)]
+    assert [(f.nu, f.J) for f in failures] == [
+        (-1, -2), (-1, 0), (-1, 1300), (0, -2), (0, 1300)
+    ]
+    assert failures[0].error == "J must be a non-negative integer, got -2"
+    assert failures[1].error == "nu must be a non-negative integer, got -1"
+    assert failures[4].error.startswith("no real solution: discriminant -")
+    assert failures[4].error.endswith("< 0 at nu=0, J=1300")
+    # an error of the whole molecule fails every cell whose J is valid
+    morse = SpectroscopicParams(
+        name="X", De=5.0e4, re=1.2, we=1800.0, mu=7.5, alpha=1.3, eta=0.0
+    )
+    rows, failures = level_table(morse, [0, 1], [0, -1])
+    assert rows == []
+    assert [f.error.split(" ")[0] for f in failures] == ["q", "J", "q", "J"]
+
+
+def _scalar_energy(params, nu, J):
+    """E and bound from the per-level closed form in plain Python floats,
+    with the operation order of the array kernel; None when D < 0."""
+    pf, eff = _pipeline(params, J)
+    k = kinetic_factor(params.mu)
+    kq2b2 = k * pf.q**2 * pf.b**2
+    T = (eff.Pt3 + pf.q * eff.Pt2) / kq2b2
+    D = 1.0 + 4.0 * eff.Pt3 / kq2b2
+    if D < 0.0:
+        return None
+    s = -(1.0 + 2.0 * nu) + math.copysign(math.sqrt(D), pf.q)
+    bracket = T / s - s / 4.0
+    try:
+        square = bracket**2
+    except OverflowError:  # float ** raises where IEEE pow gives inf
+        square = math.inf
+    return eff.Pt1 - k * pf.b**2 * square, bracket < 0.0
+
+
+physical_params = st.builds(
+    SpectroscopicParams,
+    name=st.just("X"),
+    De=st.floats(2.0e4, 1.2e5),
+    re=st.floats(0.9, 1.6),
+    we=st.floats(800.0, 3000.0),
+    mu=st.floats(5.0, 12.0),
+    alpha=st.floats(0.9, 1.8),
+    eta=st.floats(-0.1, 0.1),
+)
+
+
+def _cells(rows):
+    return [(row.nu, row.J, repr(row.E), row.bound) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=physical_params,
+    nu_list=st.lists(st.integers(-1, 150), min_size=1, max_size=8),
+    J_list=st.lists(st.integers(-1, 4000), min_size=1, max_size=8),
+)
+def test_table_equals_level_and_scalar_closed_form(params, nu_list, J_list):
+    # J up to 4000 runs past D < 0 for every parameter set drawn here
+    rows, failures = level_table(params, nu_list, J_list)
+    want_rows, want_failures = [], []
+    for nu in nu_list:
+        for J in J_list:
+            try:
+                want_rows.append(level(params, nu, J))
+            except ValueError as exc:
+                want_failures.append((nu, J, str(exc)))
+    assert _cells(rows) == _cells(want_rows)
+    assert [(f.nu, f.J, f.error) for f in failures] == want_failures
+    for row in rows:
+        E, bound = _scalar_energy(params, row.nu, row.J)
+        assert repr(row.E) == repr(E) and row.bound == bound
+    for nu, J, error in want_failures:
+        if min(nu, J) < 0:
+            assert "must be a non-negative integer" in error
+        elif derive(params).q ** 2 == 0.0:
+            assert "no P-form spectrum" in error
+        else:
+            assert "no real solution" in error
+            assert _scalar_energy(params, nu, J) is None
