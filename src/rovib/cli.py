@@ -4,9 +4,11 @@ cli.py
 Command line front end.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
-database, bad index syntax, a request above MAX_INDICES or MAX_PAIRS),
-3 when a requested computation fails; in the latter case whatever could
-be computed is still printed and the failures go to stderr.  Identical
+database, bad index syntax, a request above MAX_INDICES, MAX_PAIRS,
+MAX_GRID_POINTS or MAX_SCAN_POINTS), 3 when a requested computation
+fails; in the latter case whatever could be computed is still printed
+and the failures go to stderr.  Warnings (csv rows beyond the bound
+range) also go to stderr and leave the exit code alone.  Identical
 arguments and database give byte-identical output.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import click
@@ -45,6 +48,11 @@ EXIT_COMPUTE = 3
 STANDARD_J = "0,1,2,3,4,5,10,15,20"
 MAX_INDICES = 10_000  # indices in one --nu or --J list
 MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
+# compare --grid-points: twice the 262,137 points converge() may reach;
+# the oracle also solves the halved grid, so a 2**19 request ends on
+# about 1M points, ~1.3 s and ~140 MB per J on a 2-vCPU host
+MAX_GRID_POINTS = 2**19
+MAX_SCAN_POINTS = 100_000  # approx-error --points
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,8 @@ def _fmt_energy(config: RunConfig, value: float) -> str:
 # command implementations (return output text plus failure lines)
 
 
-def cmd_levels(config: RunConfig) -> tuple[str, list[str]]:
-    """Closed-form level table for one molecule."""
+def cmd_levels(config: RunConfig) -> tuple[str, list[str], list[str]]:
+    """Closed-form level table for one molecule, its failures and warnings."""
     params = _molecule_params(config)
     rows, failures = level_table(params, list(config.nu_list), list(config.J_list))
     col = _energy_column(config)
@@ -166,7 +174,15 @@ def cmd_levels(config: RunConfig) -> tuple[str, list[str]]:
                 f"{config.molecule:<10}{row.nu:>4}{row.J:>4}{value:>18.4f}{marker}"
             )
         text = "\n".join(lines)
-    return text, [f"error: nu={f.nu} J={f.J}: {f.error}" for f in failures]
+    unbound = sum(not row.bound for row in rows)
+    warnings = []
+    if unbound and config.output_format == "csv":  # text marks them, json has bound
+        warnings.append(
+            f"warning: {unbound} of {len(rows)} rows lie beyond the bound range; "
+            f"their {col} is not a bound level"
+        )
+    failures = [f"error: nu={f.nu} J={f.J}: {f.error}" for f in failures]
+    return text, failures, warnings
 
 
 def cmd_compare(config: RunConfig) -> tuple[str, list[str]]:
@@ -379,10 +395,11 @@ def cmd_approx_error(config: RunConfig, points: int) -> str:
     ])
 
 
-def _emit(text: str, failures: list[str]) -> None:
-    """Print the output, then any failures to stderr with exit code 3."""
+def _emit(text: str, failures: list[str], warnings: Sequence[str] = ()) -> None:
+    """Print the output, then warnings and failures to stderr; failures
+    set exit code 3."""
     click.echo(text)
-    for line in failures:
+    for line in [*warnings, *failures]:
         click.echo(line, err=True)
     if failures:
         sys.exit(EXIT_COMPUTE)
@@ -448,7 +465,8 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
               help="Vibrational indices.")
 @click.option("--J", "j_spec", default=STANDARD_J, show_default=True,
               help="Rotational indices.")
-@click.option("--grid-points", type=int, default=16384, show_default=True,
+@click.option("--grid-points", type=click.IntRange(max=MAX_GRID_POINTS),
+              default=16384, show_default=True,
               help="Oracle grid size (an exact halving is added on top).")
 @_format_option
 @_db_option
@@ -530,8 +548,8 @@ def morse(molecule, nu_spec, unit, fmt, db) -> None:
 
 @cli.command("approx-error")
 @click.argument("molecule")
-@click.option("--points", type=int, default=200, show_default=True,
-              help="Number of radii in the scan.")
+@click.option("--points", type=click.IntRange(max=MAX_SCAN_POINTS), default=200,
+              show_default=True, help="Number of radii in the scan.")
 @_format_option
 @_db_option
 def approx_error(molecule, points, fmt, db) -> None:

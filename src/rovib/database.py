@@ -85,7 +85,7 @@ def load_database(path: str | os.PathLike | None = None) -> MoleculeDatabase:
     resolved = resolve_path(path)
     try:
         text = resolved.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DatabaseError(f"cannot read database {resolved}: {exc}") from exc
 
     molecules: dict[str, SpectroscopicParams] = {}

@@ -20,13 +20,20 @@ from statistics import fmean
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .potentials import PotentialModel, equilibrium_radius, evaluate, from_params
 from .spectrum import LevelFailure, level_table
 from .units import kinetic_factor
 
 Potential = Union[PotentialModel, Callable[[np.ndarray], np.ndarray]]
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, with scipy imported on the first
+    solve: only the oracle needs it, so the closed form starts without it."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 class ResolutionError(RuntimeError):

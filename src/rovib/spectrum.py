@@ -21,6 +21,7 @@ instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,21 @@ from .potentials import (
 from .rotational import EffectiveCoefficients, badawi_coefficients, effective_coefficients
 from .units import kinetic_factor
 
+_EPS = sys.float_info.epsilon
+
 
 class MorseLimitError(ValueError):
-    """Raised when q = 0; use morse_vibrational_energy for that limit."""
+    """Raised when q = 0, or q so close to 0 that the closed form loses
+    its digits; use morse_vibrational_energy for that limit."""
+
+
+# Largest cancellation error (cm^-1) the closed form may carry.  Near
+# q = 0, T/s and s/4 both grow like 1/q and cancel in the bracket, which
+# leaves about 2 eps sqrt(P1 P3) / |q| = 2 De eps |1 - eta| / |eta| in E.
+# Probes against 60-digit arithmetic found the true error within ~3x of
+# that estimate, so this cut keeps it below the 0.005 cm^-1 band of the
+# reference tables (at De = 2e4 it lies at |eta| ~ 9e-9).
+MORSE_LIMIT_TOL_CM1 = 1.0e-3
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,13 @@ def _shorthands(pform: PForm, eff: EffectiveCoefficients, mu: float):
     if pform.q**2 == 0.0:  # q = 0, or so close that q^2 underflows
         raise MorseLimitError(
             "q = 0 has no P-form spectrum; use morse_vibrational_energy"
+        )
+    cancellation = 2.0 * _EPS * math.sqrt(abs(pform.P1 * pform.P3)) / abs(pform.q)
+    if cancellation > MORSE_LIMIT_TOL_CM1:
+        raise MorseLimitError(
+            f"q = {pform.q:.3g} is too close to the Morse limit: cancellation "
+            f"error ~{cancellation:.2g} cm^-1 exceeds {MORSE_LIMIT_TOL_CM1} "
+            "cm^-1; use morse_vibrational_energy"
         )
     k = kinetic_factor(mu)
     kq2b2 = k * pform.q**2 * pform.b**2

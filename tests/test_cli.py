@@ -1,13 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import rovib
 from rovib import __version__
 from rovib import cli as cli_module
-from rovib.cli import MAX_INDICES, MAX_PAIRS, cli, parse_index_list
+from rovib.cli import (
+    MAX_GRID_POINTS,
+    MAX_INDICES,
+    MAX_PAIRS,
+    MAX_SCAN_POINTS,
+    cli,
+    parse_index_list,
+)
 from rovib.spectrum import level
 from rovib.units import wavenumber_to_roy_ev
 
@@ -240,6 +251,95 @@ def test_pair_cap_is_a_usage_error(runner, monkeypatch):
         result = runner.invoke(cli, [command, "NO", "--nu", spec, "--J", spec])
         assert result.exit_code == 2
         assert f"the limit is {MAX_PAIRS}" in result.stderr
+
+
+def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a capped request reached the computation")
+
+    monkeypatch.setattr(cli_module, "deviation_report", not_called)
+    monkeypatch.setattr(cli_module, "default_r_grid", not_called)
+    assert MAX_GRID_POINTS >= 262_137  # the largest grid converge() builds
+    for args, cap in (
+        (["compare", "NO", "--nu", "0", "--J", "0", "--grid-points"], MAX_GRID_POINTS),
+        (["approx-error", "NO", "--points"], MAX_SCAN_POINTS),
+    ):
+        result = runner.invoke(cli, [*args, str(cap + 1)])
+        assert result.exit_code == 2
+        assert f"{cap + 1} is not in the range x<={cap}" in result.stderr
+        # the cap itself is accepted and goes on to the computation
+        result = runner.invoke(cli, [*args, str(cap)])
+        assert "reached the computation" in str(result.exception)
+
+
+def test_csv_warns_about_rows_beyond_bound_range(runner):
+    args = ["levels", "NO", "--nu", "198..200", "--format", "csv"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "molecule,nu,J,E_cm1\n"
+        "NO,198,0,-269315.686853\n"
+        "NO,199,0,-273798.436915\n"
+        "NO,200,0,-278311.090664\n"
+    )
+    assert result.stderr == (
+        "warning: 3 of 3 rows lie beyond the bound range; "
+        "their E_cm1 is not a bound level\n"
+    )
+    result = runner.invoke(cli, ["levels", "NO", "--nu", "55..57", "--format", "csv"])
+    assert result.exit_code == 0
+    assert result.stderr.startswith("warning: 2 of 3 rows ")  # nu = 56, 57
+    for fmt in ("text", "json"):  # these mark the rows themselves
+        result = runner.invoke(cli, [*args[:-1], fmt])
+        assert result.exit_code == 0 and result.stderr == ""
+    result = runner.invoke(cli, ["levels", "NO", "--nu", "0..55", "--format", "csv"])
+    assert result.exit_code == 0 and result.stderr == ""
+
+
+FRESH_INTERPRETER = """
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+def scipy_loaded(step):
+    print(step, "scipy" in sys.modules, file=sys.stderr)
+
+import rovib
+scipy_loaded("import rovib")
+import rovib.cli
+scipy_loaded("import rovib.cli")
+for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
+             ["approx-error", "NO"]):
+    with redirect_stdout(StringIO()):
+        rovib.cli.cli.main(args, standalone_mode=False)
+    scipy_loaded(args[0])
+rovib.cli.cli.main(["compare", "NO", "--nu", "0,3", "--J", "0,5",
+                    "--grid-points", "2000", "--format", "csv"],
+                   standalone_mode=False)
+scipy_loaded("compare")
+"""
+
+
+def test_only_compare_loads_scipy():
+    # a fresh interpreter: scipy is already imported in this one
+    src = str(Path(rovib.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "import rovib False", "import rovib.cli False", "levels False",
+        "morse False", "varshni False", "approx-error False", "compare True",
+    ]
+    assert proc.stdout == (
+        "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
+        "NO,0,0,947.756848,947.756912,-0.000065\n"
+        "NO,0,5,998.204857,998.204479,0.000378\n"
+        "NO,3,0,6453.240002,6453.245584,-0.005583\n"
+        "NO,3,5,6501.894569,6501.881729,0.012840\n"
+    )
 
 
 def test_approx_error_csv(runner):

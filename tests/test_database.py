@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rovib.database import (
     ENV_VAR,
@@ -126,3 +128,28 @@ def test_empty_and_headerless_files(tmp_path):
         load_database(write_db(tmp_path, "# only comments\n", name="a.txt"))
     with pytest.raises(DatabaseError, match="no molecules"):
         load_database(write_db(tmp_path, f"{HEADER}\n", name="b.txt"))
+
+
+_token = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "-1", "1e400", "nan", "-inf", "1_0", "0x1p3", "XX"]),
+    st.text(st.characters(codec="utf-8", exclude_categories=("Z", "Cc")),
+            min_size=1, max_size=6),
+)
+_row = st.lists(_token, min_size=7, max_size=9).map(" ".join)
+_database_text = st.one_of(
+    st.text(st.characters(codec="utf-8")),
+    st.lists(_row, max_size=4).map(lambda rows: "\n".join([HEADER, *rows])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.one_of(_database_text, st.binary()))
+def test_arbitrary_input_raises_only_database_error(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz-db.txt"
+    path.write_bytes(body.encode() if isinstance(body, str) else body)
+    try:
+        db = load_database(path)
+    except DatabaseError:
+        return
+    assert db.names

@@ -15,6 +15,7 @@ from rovib.potentials import (
 )
 from rovib.rotational import badawi_coefficients, effective_coefficients
 from rovib.spectrum import (
+    MORSE_LIMIT_TOL_CM1,
     EnergyLevel,
     MorseLimitError,
     SusyIntermediates,
@@ -190,6 +191,32 @@ def test_morse_limit_is_rejected():
         level(morse_params, 0, 0)
 
 
+def _near_morse(eta):
+    return SpectroscopicParams(
+        name="X", De=2.0e4, re=1.0, we=1000.0, mu=5.0, alpha=1.0, eta=eta
+    )
+
+
+def test_near_zero_eta_is_the_morse_limit(db):
+    # T/s and s/4 cancel to ~2 De eps/|eta|: at eta = 1e-12 the closed
+    # form gave 522.05 (~6 cm^-1 off), at 1e-15 it gave -1577.8
+    for eta in (1.0e-12, -1.0e-12, 1.0e-15, 1.0e-100):
+        with pytest.raises(MorseLimitError, match="too close to the Morse limit"):
+            level(_near_morse(eta), 0, 0)
+        pf, eff = _pipeline(_near_morse(eta), 0)
+        with pytest.raises(MorseLimitError):
+            susy_intermediates(pf, eff, 5.0)
+        rows, failures = level_table(_near_morse(eta), [0, 1], [0, 3])
+        assert rows == [] and len(failures) == 4
+        assert all("too close to the Morse limit" in f.error for f in failures)
+    # a moderate eta and the bundled rows keep their values bit for bit
+    assert repr(level(_near_morse(1.0e-4), 0, 0).E) == "516.0276971868625"
+    assert repr(level(_near_morse(1.0e-4), 3, 7).E) == "3646.0520149436416"
+    for name in db.names:
+        rows, failures = level_table(db.get(name), list(range(40)), [0, 20, 100])
+        assert failures == [] and len(rows) == 120
+
+
 def test_morse_energies(db):
     p = db.get("N2")
     assert morse_vibrational_energy(p.De, p.we, 0) == pytest.approx(
@@ -326,6 +353,12 @@ def _scalar_energy(params, nu, J):
     return eff.Pt1 - k * pf.b**2 * square, bracket < 0.0
 
 
+def _cancellation_error(params):
+    """2 eps sqrt(P1 P3) / |q|, the closed form's error estimate near q = 0."""
+    pf = to_pform(from_params(params))
+    return 2.0 * 2.0**-52 * math.sqrt(abs(pf.P1 * pf.P3)) / abs(pf.q)
+
+
 physical_params = st.builds(
     SpectroscopicParams,
     name=st.just("X"),
@@ -368,6 +401,31 @@ def test_table_equals_level_and_scalar_closed_form(params, nu_list, J_list):
             assert "must be a non-negative integer" in error
         elif derive(params).q ** 2 == 0.0:
             assert "no P-form spectrum" in error
+        elif _cancellation_error(params) > MORSE_LIMIT_TOL_CM1:
+            assert "too close to the Morse limit" in error
         else:
             assert "no real solution" in error
             assert _scalar_energy(params, nu, J) is None
+
+
+def _manifold(params, J):
+    """Bound levels at one J, nu from 0 up past the Morse bound count."""
+    top = int(2.0 * params.De / params.we) + 5
+    rows, _ = level_table(params, list(range(top)), [J])
+    return [row for row in rows if row.bound]
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=physical_params, J=st.integers(0, 300))
+def test_bound_levels_rise_in_nu(params, J):
+    energies = [row.E for row in _manifold(params, J)]
+    assert all(a < b for a, b in zip(energies, energies[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=physical_params)
+def test_bound_levels_lie_below_dissociation(params):
+    # J = 0 only: for J > 0 the bound flag means E below the effective
+    # asymptote Pt1 = De + gamma C1, and the top levels exceed De
+    for row in _manifold(params, 0):
+        assert row.E < params.De
