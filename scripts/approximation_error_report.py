@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from rovib.database import load_database
-from rovib.potentials import derive, from_params, model_pole_radius
+from rovib.potentials import derive, pole_radius
 from rovib.rotational import (
     badawi_coefficients,
     centrifugal_approx_error,
@@ -35,7 +35,7 @@ def main():
         params = db.get(name)
         d = derive(params)
         coeffs = badawi_coefficients(d.u, params.eta)
-        pole = model_pole_radius(from_params(params))
+        pole = pole_radius(d.b, d.q)
 
         for factor in (1.0, 1.1, 1.3, 2.0):
             r = np.array([factor * params.re])

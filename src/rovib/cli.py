@@ -5,9 +5,9 @@ Command line front end.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
 database, bad index syntax, a request above MAX_INDICES, MAX_PAIRS,
-MAX_GRID_POINTS or MAX_SCAN_POINTS), 3 when a requested computation
-fails; in the latter case whatever could be computed is still printed
-and the failures go to stderr.  Warnings (csv rows beyond the bound
+MAX_GRID_POINTS, MAX_ORACLE_POINTS or MAX_SCAN_POINTS), 3 when a
+requested computation fails; in the latter case whatever could be
+computed is still printed and the failures go to stderr.  Warnings (csv rows beyond the bound
 range) also go to stderr and leave the exit code alone.  Identical
 arguments and database give byte-identical output.
 """
@@ -30,7 +30,7 @@ from .potentials import (
     alpha_dmrm,
     derive,
     from_params,
-    model_pole_radius,
+    pole_radius,
     verify_varshni,
 )
 from .rotational import (
@@ -52,6 +52,10 @@ MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
 # the oracle also solves the halved grid, so a 2**19 request ends on
 # about 1M points, ~1.3 s and ~140 MB per J on a 2-vCPU host
 MAX_GRID_POINTS = 2**19
+# compare: len(--J) x --grid-points, since each J solves its grid and the
+# halving; estimated from logged per-J timings, the largest allowed
+# request runs ~10-25 s on a 2-vCPU host
+MAX_ORACLE_POINTS = 2**22
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 
 
@@ -64,7 +68,6 @@ class RunConfig:
     J_list: tuple[int, ...] = (0,)
     output_format: str = "text"  # text | csv | json
     energy_unit: str = "cm-1"  # cm-1 | roy_eV
-    mode: str = "closed"  # closed | compare | morse | approx-error | varshni
     db: str | None = None
     grid_points: int = 16384
 
@@ -241,9 +244,8 @@ def cmd_varshni(config: RunConfig) -> tuple[str, list[str]]:
     """Minimum-condition residuals plus shape and range parameters."""
     params = _molecule_params(config)
     derived = derive(params)
-    model = from_params(params)
-    report = verify_varshni(model, derived)
-    pole = model_pole_radius(model)
+    report = verify_varshni(from_params(params), derived)
+    pole = pole_radius(derived.b, derived.q)
     dU_rel = abs(report.dU_at_re) * params.re / params.De
     depth_rel = abs(report.depth - params.De) / params.De
     d2U_rel = abs(report.d2U_at_re - derived.Ke) / derived.Ke
@@ -361,9 +363,8 @@ def cmd_approx_error(config: RunConfig, points: int) -> str:
     """Centrifugal approximation error scan."""
     params = _molecule_params(config)
     derived = derive(params)
-    model = from_params(params)
     coeffs = badawi_coefficients(derived.u, params.eta)
-    radii = default_r_grid(params.re, points, pole=model_pole_radius(model))
+    radii = default_r_grid(params.re, points, pole=pole_radius(derived.b, derived.q))
     rational = centrifugal_approx_error(
         coeffs, derived.q, derived.u, derived.b, radii
     )
@@ -453,7 +454,6 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
         J_list=J_list,
         energy_unit=unit,
         output_format=fmt,
-        mode="closed",
         db=db,
     )
     _emit(*cmd_levels(config))
@@ -480,12 +480,16 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
         rovib compare O2 --nu 0 --J 0 --grid-points 20000 --format csv
     """
     nu_list, J_list = parse_grid(nu_spec, j_spec)
+    if len(J_list) * grid_points > MAX_ORACLE_POINTS:
+        raise click.UsageError(
+            f"--J x --grid-points asks for {len(J_list) * grid_points} oracle "
+            f"grid points; the limit is {MAX_ORACLE_POINTS}"
+        )
     config = RunConfig(
         molecule=molecule,
         nu_list=nu_list,
         J_list=J_list,
         output_format=fmt,
-        mode="compare",
         db=db,
         grid_points=grid_points,
     )
@@ -514,9 +518,7 @@ def varshni(molecule, fmt, db) -> None:
 
         rovib varshni NO
     """
-    config = RunConfig(
-        molecule=molecule, output_format=fmt, mode="varshni", db=db
-    )
+    config = RunConfig(molecule=molecule, output_format=fmt, db=db)
     _emit(*cmd_varshni(config))
 
 
@@ -540,7 +542,6 @@ def morse(molecule, nu_spec, unit, fmt, db) -> None:
         nu_list=parse_index_list(nu_spec, "--nu"),
         energy_unit=unit,
         output_format=fmt,
-        mode="morse",
         db=db,
     )
     _emit(*cmd_morse(config))
@@ -563,9 +564,7 @@ def approx_error(molecule, points, fmt, db) -> None:
 
         rovib approx-error NO --format csv
     """
-    config = RunConfig(
-        molecule=molecule, output_format=fmt, mode="approx-error", db=db
-    )
+    config = RunConfig(molecule=molecule, output_format=fmt, db=db)
     try:
         click.echo(cmd_approx_error(config, points))
     except ValueError as exc:

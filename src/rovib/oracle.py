@@ -21,11 +21,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .potentials import PotentialModel, equilibrium_radius, evaluate, from_params
+from .potentials import TietzHua, evaluate, from_params
 from .spectrum import LevelFailure, level_table
 from .units import kinetic_factor
 
-Potential = Union[PotentialModel, Callable[[np.ndarray], np.ndarray]]
+Potential = Union[TietzHua, Callable[[np.ndarray], np.ndarray]]
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs):
@@ -197,8 +197,7 @@ def converge(
     (nu = 5, J = 20) under 0.01 cm^-1 within two doublings.
     """
     if base_grid is None:
-        re = equilibrium_radius(model)
-        base_grid = RadialGrid(0.3 * re, 8.0 * re, 32768)
+        base_grid = RadialGrid(0.3 * model.re, 8.0 * model.re, 32768)
     grid = base_grid
     coarse = float(_eigenvalues(model, mu, grid, J, nu)[nu])
     for _ in range(max_doublings + 1):

@@ -1,27 +1,30 @@
 """
 potentials.py
 
-Diatomic potential models built around the deformed Schioberg form
+The deformed Schioberg potential
 
     U(r) = A * (B + tanh_q(alpha r))^2,
     tanh_q(x) = (e^{2x} - q) / (e^{2x} + q),
 
-its Tietz-Hua equivalent, and the rational P-form
+is the Tietz-Hua oscillator, with Deng-Fan as its q = -1 case and Morse
+as its eta -> 0 limit.  One model, TietzHua, carries all of them; the
+schioberg and deng_fan constructors map those forms' parameters onto it.
+to_pform rewrites it in the rational P-form
 
     U(r) = P1 + P2/(e^{b r} + q) + P3/(e^{b r} + q)^2
 
-that the bound-state solver consumes.  Parameters A, B, q are fixed from
-the spectroscopic constants (De, re, we) by requiring a minimum at re,
+that the closed-form spectrum consumes.  The model itself is evaluated
+in the Tietz-Hua form: near re the P-form sum cancels three terms of
+size De, which costs digits.  Shape parameters are fixed from the
+spectroscopic constants (De, re, we) by requiring a minimum at re,
 depth De at dissociation and curvature matching the harmonic force
-constant; with those values all model variants below are the same
-function of r.
+constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -112,45 +115,27 @@ def derive(params: SpectroscopicParams) -> DerivedParams:
 
 
 # ---------------------------------------------------------------------------
-# model variants
-
-
-@dataclass(frozen=True)
-class DeformedSchioberg:
-    """U(r) = A (B + tanh_q(alpha r))^2."""
-
-    A: float
-    B: float
-    q: float
-    alpha: float
+# the potential model
 
 
 @dataclass(frozen=True)
 class TietzHua:
-    """U(r) = De [(1 - e^{-b(r-re)}) / (1 - eta e^{-b(r-re)})]^2."""
+    """U(r) = De [(1 - e^{-b(r-re)}) / (1 - eta e^{-b(r-re)})]^2.
+
+    The one potential model: :func:`schioberg` and :func:`deng_fan`
+    build it from those forms' parameters, and eta = 0 is the Morse
+    potential De (1 - e^{-b(r-re)})^2.
+    """
 
     De: float
     re: float
     b: float
     eta: float
 
-
-@dataclass(frozen=True)
-class DengFan:
-    """U(r) = De [1 - (e^{lam re} - 1)/(e^{lam r} - 1)]^2, the q = -1 case."""
-
-    De: float
-    re: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class Morse:
-    """U(r) = De (1 - e^{-beta (r - re)})^2, the q -> 0 limit."""
-
-    De: float
-    re: float
-    beta: float
+    @property
+    def q(self) -> float:
+        """Deformation of the P-form denominator e^{br} + q."""
+        return -self.eta * math.exp(self.b * self.re)
 
 
 @dataclass(frozen=True)
@@ -164,20 +149,24 @@ class PForm:
     P3: float
 
 
-@dataclass(frozen=True)
-class GeneralPForm:
-    """Potential given directly by its P-form coefficients."""
+def schioberg(A: float, B: float, q: float, alpha: float) -> TietzHua:
+    """The deformed Schioberg form A (B + tanh_q(alpha r))^2.
 
-    pform: PForm
+    tanh_q(x) = (e^{2x} - q)/(e^{2x} + q).  Inverting
+    B = -(e^{2 alpha re} - q)/(e^{2 alpha re} + q) gives the minimum re;
+    then De = A (B + 1)^2, b = 2 alpha and eta = -q e^{-b re}.
+    """
+    ratio = q * (1.0 - B) / (1.0 + B)
+    if ratio <= 1.0:
+        raise ValueError("model has no minimum at positive radius")
+    b = 2.0 * alpha
+    re = math.log(ratio) / b
+    return TietzHua(De=A * (B + 1.0) ** 2, re=re, b=b, eta=-q * math.exp(-b * re))
 
 
-PotentialModel = Union[DeformedSchioberg, TietzHua, DengFan, Morse, GeneralPForm]
-
-
-def tanh_q(x, q: float):
-    """Deformed hyperbolic tangent (e^{2x} - q)/(e^{2x} + q)."""
-    e2x = np.exp(2.0 * np.asarray(x, dtype=float))
-    return (e2x - q) / (e2x + q)
+def deng_fan(De: float, re: float, lam: float) -> TietzHua:
+    """U(r) = De [1 - (e^{lam re} - 1)/(e^{lam r} - 1)]^2, the q = -1 case."""
+    return TietzHua(De=De, re=re, b=lam, eta=math.exp(-lam * re))
 
 
 def pole_radius(b: float, q: float) -> float | None:
@@ -188,135 +177,39 @@ def pole_radius(b: float, q: float) -> float | None:
     return r if r > 0.0 else None
 
 
-def model_pole_radius(model: PotentialModel) -> float | None:
-    """Pole of the model's rational structure at positive radius, if any."""
-    if isinstance(model, DeformedSchioberg):
-        return pole_radius(2.0 * model.alpha, model.q)
-    if isinstance(model, TietzHua):
-        return pole_radius(model.b, -model.eta * math.exp(model.b * model.re))
-    if isinstance(model, GeneralPForm):
-        return pole_radius(model.pform.b, model.pform.q)
-    return None  # DengFan's pole sits at r = 0, Morse has none
-
-
 def from_params(params: SpectroscopicParams) -> TietzHua:
     """Tietz-Hua model with shape fixed by the minimum conditions."""
     return TietzHua(De=params.De, re=params.re, b=2.0 * params.alpha, eta=params.eta)
 
 
-def equilibrium_radius(model: PotentialModel) -> float:
-    """Location of the potential minimum."""
-    if isinstance(model, (TietzHua, DengFan, Morse)):
-        return model.re
-    if isinstance(model, DeformedSchioberg):
-        # B = -(e^{2 alpha re} - q)/(e^{2 alpha re} + q) inverted for re
-        ratio = model.q * (1.0 - model.B) / (1.0 + model.B)
-        if ratio <= 1.0:
-            raise ValueError("model has no minimum at positive radius")
-        return math.log(ratio) / (2.0 * model.alpha)
-    if isinstance(model, GeneralPForm):
-        p = model.pform
-        arg = -p.P2 / (2.0 * p.P1) - p.q
-        if arg <= 1.0:
-            raise ValueError("model has no minimum at positive radius")
-        return math.log(arg) / p.b
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def dissociation_energy(model: PotentialModel) -> float:
-    """Well depth U(inf) - U(re)."""
-    if isinstance(model, (TietzHua, DengFan, Morse)):
-        return model.De
-    if isinstance(model, DeformedSchioberg):
-        return model.A * (model.B + 1.0) ** 2
-    if isinstance(model, GeneralPForm):
-        return model.pform.P1
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def evaluate(model: PotentialModel, r):
+def evaluate(model: TietzHua, r):
     """Potential energy at radius r (scalar or array), relative to the minimum.
 
-    Every variant vanishes at its equilibrium radius, so no offset is
-    applied here; :func:`schioberg_offset` reports the constant a raw
-    (A, B, q) triple not satisfying the minimum conditions would carry.
     Radii within 1e-9 Angstrom of a pole raise SingularRadiusError; the
     poles exist only for q < 0.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("r must be positive")
-    pole = model_pole_radius(model)
+    pole = pole_radius(model.b, model.q)
     if pole is not None and np.any(np.abs(r - pole) < 1.0e-9):
         raise SingularRadiusError(
             f"radius within 1e-9 A of the potential pole at {pole:.9f} A"
         )
-    if isinstance(model, DeformedSchioberg):
-        e2x = np.exp(2.0 * model.alpha * r)
-        t = (e2x - model.q) / (e2x + model.q)
-        out = model.A * (model.B + t) ** 2
-    elif isinstance(model, TietzHua):
-        y = np.exp(-model.b * (r - model.re))
-        out = model.De * ((1.0 - y) / (1.0 - model.eta * y)) ** 2
-    elif isinstance(model, DengFan):
-        out = model.De * (
-            1.0 - np.expm1(model.lam * model.re) / np.expm1(model.lam * r)
-        ) ** 2
-    elif isinstance(model, Morse):
-        out = model.De * (1.0 - np.exp(-model.beta * (r - model.re))) ** 2
-    elif isinstance(model, GeneralPForm):
-        p = model.pform
-        den = np.exp(p.b * r) + p.q
-        out = p.P1 + p.P2 / den + p.P3 / den**2
-    else:
-        raise TypeError(f"unsupported model {type(model).__name__}")
+    y = np.exp(-model.b * (r - model.re))
+    out = model.De * ((1.0 - y) / (1.0 - model.eta * y)) ** 2
     return float(out) if r.ndim == 0 else out
 
 
-def schioberg_offset(model: DeformedSchioberg) -> float:
-    """Value of the raw A (B + tanh_q)^2 form at its own minimum.
-
-    Vanishes (up to rounding) whenever the minimum sits at positive
-    radius, since the squared bracket reaches zero there; serves as a
-    consistency diagnostic for arbitrary coefficient triples.
-    """
-    re = equilibrium_radius(model)
-    t = float(tanh_q(model.alpha * re, model.q))
-    return model.A * (model.B + t) ** 2
-
-
-def to_pform(model: PotentialModel) -> PForm:
+def to_pform(model: TietzHua) -> PForm:
     """Rewrite a model as P-form coefficients.
 
     P1 = De, P2 = -2 De (e^{b re} + q), P3 = De (e^{b re} + q)^2, which
-    satisfy P2^2 = 4 P1 P3.  The Morse potential is the q -> 0 limit and
-    has no finite P-form; requesting it raises ValueError.
+    satisfy P2^2 = 4 P1 P3.  The Morse model (eta = 0) maps to q = 0,
+    which the closed-form spectrum rejects.
     """
-    if isinstance(model, GeneralPForm):
-        return model.pform
-    if isinstance(model, Morse):
-        raise ValueError(
-            "Morse potential (q = 0) is not representable in P-form; "
-            "use the dedicated Morse energy helpers"
-        )
-    if isinstance(model, TietzHua):
-        b = model.b
-        q = -model.eta * math.exp(b * model.re)
-        De = model.De
-        re = model.re
-    elif isinstance(model, DengFan):
-        b = model.lam
-        q = -1.0
-        De = model.De
-        re = model.re
-    elif isinstance(model, DeformedSchioberg):
-        b = 2.0 * model.alpha
-        q = model.q
-        De = dissociation_energy(model)
-        re = equilibrium_radius(model)
-    else:
-        raise TypeError(f"unsupported model {type(model).__name__}")
-    c = math.exp(b * re) + q
+    b, q, De = model.b, model.q, model.De
+    c = math.exp(b * model.re) + q
     return PForm(b=b, q=q, P1=De, P2=-2.0 * De * c, P3=De * c**2)
 
 
@@ -343,38 +236,26 @@ class VarshniReport:
     Ke: float
 
 
-def _decay_constant(model: PotentialModel) -> float:
-    if isinstance(model, DeformedSchioberg):
-        return 2.0 * model.alpha
-    if isinstance(model, TietzHua):
-        return model.b
-    if isinstance(model, DengFan):
-        return model.lam
-    if isinstance(model, Morse):
-        return model.beta
-    return model.pform.b
-
-
-def verify_varshni(model: PotentialModel, derived: DerivedParams) -> VarshniReport:
+def verify_varshni(model: TietzHua, derived: DerivedParams) -> VarshniReport:
     """Check minimum location, depth and curvature by finite differences.
 
     Step h = 1e-4 re balances truncation against cancellation in double
     precision; the depth is probed at 100 re, capped so the largest
     exponent stays below overflow.
     """
-    re = equilibrium_radius(model)
+    re = model.re
     h = 1.0e-4 * re
     u = [evaluate(model, re + i * h) for i in (-2, -1, 0, 1, 2)]
     dU = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
     d2U = (-u[0] + 16.0 * u[1] - 30.0 * u[2] + 16.0 * u[3] - u[4]) / (12.0 * h**2)
-    far = min(100.0 * re, 650.0 / _decay_constant(model))
+    far = min(100.0 * re, 650.0 / model.b)
     depth = evaluate(model, far) - u[2]
     return VarshniReport(
         re=re,
         dU_at_re=dU,
         depth=depth,
         d2U_at_re=d2U,
-        De=dissociation_energy(model),
+        De=model.De,
         Ke=derived.Ke,
     )
 

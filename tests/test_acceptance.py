@@ -21,17 +21,15 @@ import pytest
 
 from rovib.oracle import default_grid, deviation_report, solve_bound_states
 from rovib.potentials import (
-    DeformedSchioberg,
-    DengFan,
-    GeneralPForm,
-    Morse,
     SpectroscopicParams,
     TietzHua,
     alpha_dmrm,
+    deng_fan,
     derive,
     evaluate,
     from_params,
     lambert_w0,
+    schioberg,
     to_pform,
     verify_varshni,
 )
@@ -183,27 +181,28 @@ def test_property_suite_is_fast_and_passes(db):
 
         # pointwise equivalence of the model variants
         u_th = evaluate(model, r)
-        ds = DeformedSchioberg(A=d.A, B=d.B, q=d.q, alpha=params.alpha)
-        assert np.max(np.abs(u_th - evaluate(ds, r))) <= 1.0e-10 * params.De
-        assert np.max(np.abs(u_th - evaluate(GeneralPForm(pform), r))) <= (
-            1.0e-10 * params.De
-        )
+        ds = schioberg(A=d.A, B=d.B, q=d.q, alpha=params.alpha)
+        e2x = np.exp(2.0 * params.alpha * r)
+        u_ds = d.A * (d.B + (e2x - d.q) / (e2x + d.q)) ** 2
+        assert np.max(np.abs(u_th - u_ds)) <= 1.0e-10 * params.De
+        assert np.max(np.abs(evaluate(ds, r) - u_ds)) <= 1.0e-10 * params.De
+        den = np.exp(pform.b * r) + pform.q
+        u_pf = pform.P1 + pform.P2 / den + pform.P3 / den**2
+        assert np.max(np.abs(u_th - u_pf)) <= 1.0e-10 * params.De
 
         # q = -1 reduction and the q -> 0 limit
-        df_eta = math.exp(-d.u)
-        df_pair = (
-            TietzHua(De=params.De, re=params.re, b=d.b, eta=df_eta),
-            DengFan(De=params.De, re=params.re, lam=d.b),
-        )
+        u_df = params.De * (
+            1.0 - np.expm1(d.b * params.re) / np.expm1(d.b * r)
+        ) ** 2
+        for df in (
+            TietzHua(De=params.De, re=params.re, b=d.b, eta=math.exp(-d.u)),
+            deng_fan(De=params.De, re=params.re, lam=d.b),
+        ):
+            assert np.max(np.abs(evaluate(df, r) - u_df)) <= 1.0e-12 * params.De
+        u_morse = params.De * (1.0 - np.exp(-d.b * (r - params.re))) ** 2
+        near_morse = TietzHua(De=params.De, re=params.re, b=d.b, eta=1.0e-8)
         assert np.max(
-            np.abs(evaluate(df_pair[0], r) - evaluate(df_pair[1], r))
-        ) <= 1.0e-12 * params.De
-        morse_pair = (
-            TietzHua(De=params.De, re=params.re, b=d.b, eta=1.0e-8),
-            Morse(De=params.De, re=params.re, beta=d.b),
-        )
-        assert np.max(
-            np.abs(evaluate(morse_pair[0], r) - evaluate(morse_pair[1], r))
+            np.abs(evaluate(near_morse, r) - u_morse)
         ) <= 1.0e-5 * params.De
 
         # centrifugal expansion coefficients against the matching oracle

@@ -14,6 +14,7 @@ from rovib import cli as cli_module
 from rovib.cli import (
     MAX_GRID_POINTS,
     MAX_INDICES,
+    MAX_ORACLE_POINTS,
     MAX_PAIRS,
     MAX_SCAN_POINTS,
     cli,
@@ -269,6 +270,28 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
         assert f"{cap + 1} is not in the range x<={cap}" in result.stderr
         # the cap itself is accepted and goes on to the computation
         result = runner.invoke(cli, [*args, str(cap)])
+        assert "reached the computation" in str(result.exception)
+
+
+def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
+    # len(--J) x --grid-points bounds the total oracle work of one compare
+    def not_called(*args, **kwargs):
+        raise AssertionError("a capped request reached the computation")
+
+    monkeypatch.setattr(cli_module, "deviation_report", not_called)
+
+    def compare(n_J, grid_points):
+        return runner.invoke(cli, ["compare", "NO", "--nu", "0", "--J",
+                                   f"0..{n_J - 1}", "--grid-points", str(grid_points)])
+
+    for grid_points in (2**16, MAX_GRID_POINTS):
+        n_J = MAX_ORACLE_POINTS // grid_points
+        assert n_J * grid_points == MAX_ORACLE_POINTS
+        result = compare(n_J + 1, grid_points)
+        assert result.exit_code == 2
+        assert f"the limit is {MAX_ORACLE_POINTS}" in result.stderr
+        # the cap itself is accepted and goes on to the computation
+        result = compare(n_J, grid_points)
         assert "reached the computation" in str(result.exception)
 
 

@@ -12,15 +12,15 @@ from rovib.oracle import (
     deviation_report,
     solve_bound_states,
 )
-from rovib.potentials import Morse, SpectroscopicParams, derive, from_params
+from rovib.potentials import SpectroscopicParams, TietzHua, derive, from_params
 from rovib.units import kinetic_factor
 
 MU = 8.0
-MORSE = Morse(De=42041.0, re=1.207, beta=2.6636)
+MORSE = TietzHua(De=42041.0, re=1.207, b=2.6636, eta=0.0)  # eta = 0: Morse
 
 
 def morse_exact(nu):
-    we = 2.0 * MORSE.beta * math.sqrt(MORSE.De * kinetic_factor(MU))
+    we = 2.0 * MORSE.b * math.sqrt(MORSE.De * kinetic_factor(MU))
     x = nu + 0.5
     return we * x - we**2 * x**2 / (4.0 * MORSE.De)
 

@@ -6,28 +6,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rovib.potentials import (
-    DeformedSchioberg,
-    DengFan,
-    GeneralPForm,
-    Morse,
     SingularRadiusError,
     SpectroscopicParams,
     TietzHua,
     alpha_dmrm,
+    deng_fan,
     derive,
-    dissociation_energy,
-    equilibrium_radius,
     evaluate,
     from_params,
     lambert_w0,
-    model_pole_radius,
-    schioberg_offset,
+    pole_radius,
+    schioberg,
     to_pform,
     verify_varshni,
 )
 from rovib.units import kinetic_factor
 
 from reference_levels import PUBLISHED_PARAMS
+
+
+# ---------------------------------------------------------------------------
+# the raw forms the one model reproduces
+
+
+def tanh_q(x, q):
+    e2x = np.exp(2.0 * np.asarray(x, dtype=float))
+    return (e2x - q) / (e2x + q)
+
+
+def schioberg_raw(A, B, q, alpha, r):
+    return A * (B + tanh_q(alpha * r, q)) ** 2
+
+
+def deng_fan_raw(De, re, lam, r):
+    return De * (1.0 - np.expm1(lam * re) / np.expm1(lam * r)) ** 2
+
+
+def morse_raw(De, re, beta, r):
+    return De * (1.0 - np.exp(-beta * (r - re))) ** 2
+
+
+def pform_raw(pf, r):
+    den = np.exp(pf.b * r) + pf.q
+    return pf.P1 + pf.P2 / den + pf.P3 / den**2
 
 
 def synthetic(eta, De=5.0e4, re=1.2, we=1800.0, mu=7.5, alpha=1.3):
@@ -144,35 +165,38 @@ def test_model_variants_agree_pointwise(db, name):
     p = db.get(name)
     d = derive(p)
     th = from_params(p)
-    ds = DeformedSchioberg(A=d.A, B=d.B, q=d.q, alpha=p.alpha)
-    gp = GeneralPForm(to_pform(th))
+    ds = schioberg(A=d.A, B=d.B, q=d.q, alpha=p.alpha)
     r = np.linspace(0.5 * p.re, 6.0 * p.re, 401)
     u_th = evaluate(th, r)
-    assert np.max(np.abs(u_th - evaluate(ds, r))) <= 1.0e-10 * p.De
-    assert np.max(np.abs(u_th - evaluate(gp, r))) <= 1.0e-10 * p.De
+    u_ds = schioberg_raw(d.A, d.B, d.q, p.alpha, r)
+    assert np.max(np.abs(u_th - u_ds)) <= 1.0e-10 * p.De
+    assert np.max(np.abs(evaluate(ds, r) - u_ds)) <= 1.0e-10 * p.De
+    assert np.max(np.abs(u_th - pform_raw(to_pform(th), r))) <= 1.0e-10 * p.De
     # derived triples satisfy the minimum conditions, so the raw
     # squared-tanh form carries no constant offset
-    assert abs(schioberg_offset(ds)) <= 1.0e-10 * p.De
+    assert abs(schioberg_raw(d.A, d.B, d.q, p.alpha, ds.re)) <= 1.0e-10 * p.De
 
 
 def test_raw_triple_minimum_is_zero():
     # the squared bracket touches zero wherever the minimum is
     # reachable, even for a triple that derive() never produces
-    model = DeformedSchioberg(A=5.0e4, B=-0.9, q=0.5, alpha=1.3)
-    re = equilibrium_radius(model)
+    A, B, q, alpha = 5.0e4, -0.9, 0.5, 1.3
+    model = schioberg(A, B, q, alpha)
+    re = model.re
     assert re > 0.0
-    offset = schioberg_offset(model)
-    assert abs(offset) <= 1.0e-10 * model.A
-    assert evaluate(model, re) == pytest.approx(offset, abs=1.0e-10 * model.A)
+    offset = schioberg_raw(A, B, q, alpha, re)
+    assert abs(offset) <= 1.0e-10 * A
+    assert evaluate(model, re) == pytest.approx(offset, abs=1.0e-10 * A)
     depth = evaluate(model, 50.0) - evaluate(model, re)
-    assert depth == pytest.approx(dissociation_energy(model), rel=1.0e-9)
+    assert depth == pytest.approx(A * (B + 1.0) ** 2, rel=1.0e-9)
+    raw_depth = schioberg_raw(A, B, q, alpha, 50.0) - offset
+    assert raw_depth == pytest.approx(model.De, rel=1.0e-9)
 
 
 def test_minimum_outside_domain_is_rejected():
     # tanh_q never reaches -B = 0.2 at positive radius for q = 0.5
-    model = DeformedSchioberg(A=5.0e4, B=-0.2, q=0.5, alpha=1.3)
     with pytest.raises(ValueError, match="no minimum"):
-        equilibrium_radius(model)
+        schioberg(A=5.0e4, B=-0.2, q=0.5, alpha=1.3)
 
 
 def test_deng_fan_reduction(db):
@@ -181,21 +205,23 @@ def test_deng_fan_reduction(db):
         p = db.get(name)
         d = derive(p)
         th = TietzHua(De=p.De, re=p.re, b=d.b, eta=math.exp(-d.u))
-        df = DengFan(De=p.De, re=p.re, lam=d.b)
+        df = deng_fan(De=p.De, re=p.re, lam=d.b)
         r = np.linspace(0.5 * p.re, 6.0 * p.re, 401)
-        assert np.max(np.abs(evaluate(th, r) - evaluate(df, r))) <= 1.0e-12 * p.De
+        reference = deng_fan_raw(p.De, p.re, d.b, r)
+        assert np.max(np.abs(evaluate(th, r) - reference)) <= 1.0e-12 * p.De
+        assert np.max(np.abs(evaluate(df, r) - reference)) <= 1.0e-12 * p.De
         assert to_pform(df).q == -1.0
 
 
 def test_morse_limit(db):
     p = db.get("O2")
     b = 2.0 * p.alpha
-    morse = Morse(De=p.De, re=p.re, beta=b)
     r = np.linspace(0.5 * p.re, 6.0 * p.re, 401)
+    morse = morse_raw(p.De, p.re, b, r)
     exact = evaluate(TietzHua(De=p.De, re=p.re, b=b, eta=0.0), r)
-    assert np.max(np.abs(exact - evaluate(morse, r))) <= 1.0e-12 * p.De
+    assert np.max(np.abs(exact - morse)) <= 1.0e-12 * p.De
     small = evaluate(TietzHua(De=p.De, re=p.re, b=b, eta=1.0e-8), r)
-    assert np.max(np.abs(small - evaluate(morse, r))) <= 1.0e-5 * p.De
+    assert np.max(np.abs(small - morse)) <= 1.0e-5 * p.De
 
 
 @pytest.mark.parametrize("name", list(PUBLISHED_PARAMS))
@@ -221,7 +247,7 @@ def test_evaluate_requires_positive_radius(db):
 def test_pole_rejection():
     # eta e^u > 1 puts the rational pole at positive radius
     model = TietzHua(De=5.0e4, re=1.2, b=2.6, eta=0.9)
-    pole = model_pole_radius(model)
+    pole = pole_radius(model.b, model.q)
     assert pole is not None and pole > 0.0
     for r in (pole, pole + 5.0e-10, pole - 5.0e-10):
         with pytest.raises(SingularRadiusError):
@@ -233,9 +259,11 @@ def test_pole_rejection():
 
 def test_no_pole_for_bundled_molecules(db):
     for name in db.names:
-        assert model_pole_radius(from_params(db.get(name))) is None
-    assert model_pole_radius(DengFan(De=5.0e4, re=1.2, lam=2.6)) is None
-    assert model_pole_radius(Morse(De=5.0e4, re=1.2, beta=2.6)) is None
+        model = from_params(db.get(name))
+        assert pole_radius(model.b, model.q) is None
+    for model in (deng_fan(De=5.0e4, re=1.2, lam=2.6),
+                  TietzHua(De=5.0e4, re=1.2, b=2.6, eta=0.0)):  # Morse
+        assert pole_radius(model.b, model.q) is None
 
 
 def test_pform_coefficient_identities(db):
@@ -247,18 +275,15 @@ def test_pform_coefficient_identities(db):
         assert pf.P2 < 0.0 < pf.P3
 
 
-def test_pform_has_no_morse_representation():
-    with pytest.raises(ValueError, match="Morse"):
-        to_pform(Morse(De=5.0e4, re=1.2, beta=2.6))
-
-
 def test_equilibrium_radius_inversions(db):
     p = db.get("O2+")
     d = derive(p)
-    ds = DeformedSchioberg(A=d.A, B=d.B, q=d.q, alpha=p.alpha)
-    gp = GeneralPForm(to_pform(from_params(p)))
-    assert equilibrium_radius(ds) == pytest.approx(p.re, rel=1.0e-12)
-    assert equilibrium_radius(gp) == pytest.approx(p.re, rel=1.0e-12)
+    ds = schioberg(A=d.A, B=d.B, q=d.q, alpha=p.alpha)
+    pf = to_pform(from_params(p))
+    # the P-form minimum sits where e^{b r} = -P2 / (2 P1) - q
+    pform_re = math.log(-pf.P2 / (2.0 * pf.P1) - pf.q) / pf.b
+    assert ds.re == pytest.approx(p.re, rel=1.0e-12)
+    assert pform_re == pytest.approx(p.re, rel=1.0e-12)
 
 
 # ---------------------------------------------------------------------------
