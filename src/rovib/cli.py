@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .database import ENV_VAR, DatabaseError, UnknownMoleculeError, load_database
-from .oracle import ResolutionError, deviation_report
+from .oracle import MAX_BASIS, deviation_report
 from .potentials import (
     SpectroscopicParams,
     alpha_dmrm,
@@ -48,14 +48,12 @@ EXIT_COMPUTE = 3
 STANDARD_J = "0,1,2,3,4,5,10,15,20"
 MAX_INDICES = 10_000  # indices in one --nu or --J list
 MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
-# compare --grid-points: twice the 262,137 points converge() may reach;
-# the oracle also solves the halved grid, so a 2**19 request ends on
-# about 1M points, ~1.3 s and ~140 MB per J on a 2-vCPU host
-MAX_GRID_POINTS = 2**19
-# compare: len(--J) x --grid-points, since each J solves its grid and the
-# halving; estimated from logged per-J timings, the largest allowed
-# request runs ~10-25 s on a 2-vCPU host
-MAX_ORACLE_POINTS = 2**22
+# compare --grid-points: largest sinc-DVR basis per J (the oracle uses at
+# most MAX_BASIS); 16384 keeps the budget existing callers pass valid
+MAX_GRID_POINTS = 16384
+# compare: len(--J) x --grid-points.  The largest allowed request, 32 J
+# each refined up to MAX_BASIS, took 27 s and 106 MB on a 2-vCPU host
+MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 
 
@@ -69,7 +67,7 @@ class RunConfig:
     output_format: str = "text"  # text | csv | json
     energy_unit: str = "cm-1"  # cm-1 | roy_eV
     db: str | None = None
-    grid_points: int = 16384
+    grid_points: int = MAX_BASIS
 
 
 def parse_index_list(text: str, label: str) -> tuple[int, ...]:
@@ -189,7 +187,7 @@ def cmd_levels(config: RunConfig) -> tuple[str, list[str], list[str]]:
 
 
 def cmd_compare(config: RunConfig) -> tuple[str, list[str]]:
-    """Closed form against the grid oracle."""
+    """Closed form against the sinc-DVR oracle."""
     params = _molecule_params(config)
     try:
         report = deviation_report(
@@ -216,6 +214,7 @@ def cmd_compare(config: RunConfig) -> tuple[str, list[str]]:
                 {
                     "nu": row.nu, "J": row.J, "E_cm1": row.E_closed,
                     "E_oracle_cm1": row.E_oracle, "delta_cm1": row.delta,
+                    "oracle_err_cm1": row.oracle_err, "basis": row.basis,
                 }
                 for row in report.rows
             ],
@@ -466,24 +465,29 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
 @click.option("--J", "j_spec", default=STANDARD_J, show_default=True,
               help="Rotational indices.")
 @click.option("--grid-points", type=click.IntRange(max=MAX_GRID_POINTS),
-              default=16384, show_default=True,
-              help="Oracle grid size (an exact halving is added on top).")
+              default=MAX_BASIS, show_default=True,
+              help=f"Largest sinc-DVR basis the oracle may build per J "
+                   f"(at most {MAX_BASIS} are used).")
 @_format_option
 @_db_option
 def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
-    """Closed form against the grid eigensolver.
+    """Closed form against a sinc-DVR eigensolver.
+
+    Each J is one dense Hamiltonian, refined until N and 2N basis
+    functions agree to 1e-6 cm^-1 (json rows carry |E_N - E_2N| and 2N);
+    levels past the bound range or unconverged within --grid-points exit 3.
 
     Examples:
 
         rovib compare NO --nu 0,3,5 --J 0,5,20
 
-        rovib compare O2 --nu 0 --J 0 --grid-points 20000 --format csv
+        rovib compare O2 --nu 0..40 --J 0 --format json
     """
     nu_list, J_list = parse_grid(nu_spec, j_spec)
     if len(J_list) * grid_points > MAX_ORACLE_POINTS:
         raise click.UsageError(
             f"--J x --grid-points asks for {len(J_list) * grid_points} oracle "
-            f"grid points; the limit is {MAX_ORACLE_POINTS}"
+            f"basis functions; the limit is {MAX_ORACLE_POINTS}"
         )
     config = RunConfig(
         molecule=molecule,
@@ -493,12 +497,7 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
         db=db,
         grid_points=grid_points,
     )
-    try:
-        text, failures = cmd_compare(config)
-    except ResolutionError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_COMPUTE)
-    _emit(text, failures)
+    _emit(*cmd_compare(config))
 
 
 @cli.command()

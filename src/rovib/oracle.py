@@ -1,15 +1,14 @@
 """
 oracle.py
 
-Independent numerical check of the closed-form spectrum.
-
-The radial equation -k R'' + (U(r) + J(J+1) k / r^2) R = E R is put on a
-uniform grid with a three-point second difference and Dirichlet ends,
-giving a symmetric tridiagonal matrix; eigenvalues come from bisection
-on the Sturm sequence plus inverse iteration for the vectors.  Nothing
-here reuses the factorization machinery: the centrifugal term enters as
-the exact 1/r^2, so disagreements with the closed form measure the
-rational approximation of that term plus grid error.
+Independent numerical checks of the closed-form spectrum.  Both solve
+-k R'' + (U(r) + J(J+1) k / r^2) R = E R with the exact 1/r^2, so their
+disagreements with the closed form measure its rational approximation
+of that term plus solver error.  deviation_report uses the Colbert-
+Miller sinc discrete variable representation (DVR; J. Chem. Phys. 96,
+1982 (1992)), one dense numpy solve per J; converge and
+solve_bound_states keep a three-point finite-difference grid, a
+tridiagonal matrix solved by scipy (imported on first use).
 """
 
 from __future__ import annotations
@@ -22,10 +21,15 @@ from typing import Callable, Union
 import numpy as np
 
 from .potentials import TietzHua, evaluate, from_params
-from .spectrum import LevelFailure, level_table
+from .spectrum import EnergyLevel, LevelFailure, level_table
 from .units import kinetic_factor
 
 Potential = Union[TietzHua, Callable[[np.ndarray], np.ndarray]]
+
+DVR_TOL_CM1 = 1.0e-6  # N -> 2N agreement that ends the DVR refinement
+MAX_BASIS = 2048  # largest DVR basis; eigvalsh: 0.6 s, 32 MB on 2 vCPUs, ~N^3
+_TAIL = 18.0  # decay integral past each turning point: amplitude e^-18
+_SAFETY = 2.0  # spacing pi / (_SAFETY p_max), p_max the largest wave number
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs):
@@ -91,16 +95,17 @@ def _potential_values(model: Potential, r: np.ndarray) -> np.ndarray:
     return evaluate(model, r)
 
 
+def _effective(model: Potential, mu: float, J: int, r: np.ndarray) -> np.ndarray:
+    return _potential_values(model, r) + J * (J + 1) * kinetic_factor(mu) / r**2
+
+
 def _tridiagonal(
     model: Potential, mu: float, grid: RadialGrid, J: int
 ) -> tuple[np.ndarray, np.ndarray]:
     k = kinetic_factor(mu)
     r = grid.points()[1:-1]
-    v = _potential_values(model, r)
-    if J > 0:
-        v = v + J * (J + 1) * k / r**2
     h2 = grid.spacing**2
-    diag = 2.0 * k / h2 + v
+    diag = 2.0 * k / h2 + _effective(model, mu, J, r)
     off = np.full(r.size - 1, -k / h2)
     return diag, off
 
@@ -228,11 +233,13 @@ class DeviationRow:
     E_closed: float
     E_oracle: float
     delta: float  # E_closed - E_oracle
+    oracle_err: float  # |E_N - E_2N| of the sinc-DVR refinement, cm^-1
+    basis: int  # 2N, the DVR basis behind E_oracle
 
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Closed form against the grid oracle over a (nu, J) table."""
+    """Closed form against the sinc-DVR oracle over a (nu, J) table."""
 
     molecule: str
     rows: list[DeviationRow]
@@ -242,40 +249,73 @@ class DeviationReport:
     max_abs_delta_by_J: dict[int, float]
 
 
+def _dvr_levels(
+    model: TietzHua, mu: float, J: int, cells: list[EnergyLevel], n_max: int
+) -> dict[tuple[int, int], tuple[float, float, int]]:
+    """{(nu, J): (E_2N, |E_N - E_2N|, 2N)} for closed-form levels at one J.
+
+    Box: the well at the top level's energy plus tails where the decay
+    integral reaches _TAIL, within [0.3 re, 8 re].  N starts at _SAFETY
+    times the de Broglie limit and doubles while some level moves by
+    more than DVR_TOL_CM1 and 4N fits in n_max."""
+    k, nus, E_top = kinetic_factor(mu), [c.nu for c in cells], max(c.E for c in cells)
+    r, dr = np.linspace(0.3 * model.re, 8.0 * model.re, 2048, retstep=True)
+    v = _effective(model, mu, J, r)
+    well = int(np.argmin(v))
+    decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
+    inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
+    outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
+    r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
+    p_max = math.sqrt(max(E_top - v[well], 0.0) / k)
+    n = math.ceil(_SAFETY * p_max * (r_max - r_min) / math.pi) + 1
+    n = min(max(n, 2), n_max // 2)
+
+    def solve(n):  # a level at or above N reads nan
+        r, dr = np.linspace(r_min, r_max, n, retstep=True)
+        d = np.subtract.outer(np.arange(n), np.arange(n))
+        t = k / dr**2
+        h = 2.0 * (-1.0) ** d / np.maximum(d * d, 1) * t
+        h[np.diag_indices(n)] = math.pi**2 / 3.0 * t + _effective(model, mu, J, r)
+        return np.append(np.linalg.eigvalsh(h), np.full(max(nus) + 1, np.nan))[nus]
+
+    fine = solve(n)
+    while True:
+        coarse, fine = fine, solve(2 * n)
+        errors = np.abs(fine - coarse)
+        if np.all(errors <= DVR_TOL_CM1) or 4 * n > n_max:
+            return {(nu, J): (float(E), float(err), 2 * n)
+                    for nu, E, err in zip(nus, fine, errors)}
+        n *= 2
+
+
 def deviation_report(
     params,
     nu_list: list[int],
     J_list: list[int],
-    n_points: int = 16384,
+    n_points: int = MAX_BASIS,
 ) -> DeviationReport:
-    """Compare closed-form levels with extrapolated grid eigenvalues.
-
-    One eigensolve per (J, grid) covers all requested nu at once; each
-    oracle value is the h^2-extrapolant of an exact grid halving, good
-    to ~1e-3 cm^-1 at the default size.
-    """
-    if not nu_list or not J_list:
-        raise ValueError("nu_list and J_list must be non-empty")
+    """Compare closed-form levels with sinc-DVR eigenvalues (per row the
+    2N value, |E_N - E_2N| and 2N).  n_points is the largest basis the
+    refinement may build, at most MAX_BASIS; a cell beyond the bound
+    range or not converged within it is a LevelFailure."""
+    if not nu_list or not J_list or n_points < 4:
+        raise ValueError("need non-empty nu_list and J_list and n_points >= 4")
     rows_closed, failures = level_table(params, nu_list, J_list)
-    closed = {(row.nu, row.J): row.E for row in rows_closed}
-    model = from_params(params)
-    nu_max = max(nu_list)
-    oracle: dict[tuple[int, int], float] = {}
-    for J in J_list:
-        grid = default_grid(params.re, n_points)
-        coarse = _eigenvalues(model, params.mu, grid, J, nu_max)
-        fine = _eigenvalues(model, params.mu, grid.halved(), J, nu_max)
-        for nu in nu_list:
-            oracle[(nu, J)] = float((4.0 * fine[nu] - coarse[nu]) / 3.0)
-    rows = [
-        DeviationRow(
-            nu=nu, J=J, E_closed=closed[(nu, J)], E_oracle=oracle[(nu, J)],
-            delta=closed[(nu, J)] - oracle[(nu, J)],
-        )
-        for nu in nu_list
-        for J in J_list
-        if (nu, J) in closed
-    ]
+    model, n_max = from_params(params), min(n_points, MAX_BASIS)
+    oracle = {}
+    for J in dict.fromkeys(row.J for row in rows_closed if row.bound):
+        cells = [row for row in rows_closed if row.bound and row.J == J]
+        oracle.update(_dvr_levels(model, params.mu, J, cells, n_max))
+    rows = []
+    for row in rows_closed:
+        E, err, basis = oracle.get((row.nu, row.J), (math.nan, math.nan, 0))
+        if err <= DVR_TOL_CM1:
+            rows.append(DeviationRow(row.nu, row.J, row.E, E, row.E - E, err, basis))
+        else:
+            failures.append(LevelFailure(row.nu, row.J, (
+                f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n_max} "
+                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
+                if row.bound else "beyond the bound range; no oracle level")))
     deltas = [row.delta for row in rows]
     by_J = {
         J: max(abs(row.delta) for row in rows if row.J == J)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -12,6 +13,7 @@ import rovib
 from rovib import __version__
 from rovib import cli as cli_module
 from rovib.cli import (
+    MAX_BASIS,
     MAX_GRID_POINTS,
     MAX_INDICES,
     MAX_ORACLE_POINTS,
@@ -260,7 +262,7 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
 
     monkeypatch.setattr(cli_module, "deviation_report", not_called)
     monkeypatch.setattr(cli_module, "default_r_grid", not_called)
-    assert MAX_GRID_POINTS >= 262_137  # the largest grid converge() builds
+    assert MAX_GRID_POINTS >= MAX_BASIS  # the largest basis the oracle builds
     for args, cap in (
         (["compare", "NO", "--nu", "0", "--J", "0", "--grid-points"], MAX_GRID_POINTS),
         (["approx-error", "NO", "--points"], MAX_SCAN_POINTS),
@@ -284,7 +286,7 @@ def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
         return runner.invoke(cli, ["compare", "NO", "--nu", "0", "--J",
                                    f"0..{n_J - 1}", "--grid-points", str(grid_points)])
 
-    for grid_points in (2**16, MAX_GRID_POINTS):
+    for grid_points in (MAX_BASIS, MAX_GRID_POINTS):
         n_J = MAX_ORACLE_POINTS // grid_points
         assert n_J * grid_points == MAX_ORACLE_POINTS
         result = compare(n_J + 1, grid_points)
@@ -343,7 +345,7 @@ scipy_loaded("compare")
 """
 
 
-def test_only_compare_loads_scipy():
+def test_no_command_loads_scipy():
     # a fresh interpreter: scipy is already imported in this one
     src = str(Path(rovib.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -354,14 +356,29 @@ def test_only_compare_loads_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         "import rovib False", "import rovib.cli False", "levels False",
-        "morse False", "varshni False", "approx-error False", "compare True",
+        "morse False", "varshni False", "approx-error False", "compare False",
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
-        "NO,0,0,947.756848,947.756912,-0.000065\n"
-        "NO,0,5,998.204857,998.204479,0.000378\n"
-        "NO,3,0,6453.240002,6453.245584,-0.005583\n"
-        "NO,3,5,6501.894569,6501.881729,0.012840\n"
+        "NO,0,0,947.756848,947.756848,-0.000000\n"
+        "NO,0,5,998.204857,998.204415,0.000442\n"
+        "NO,3,0,6453.240002,6453.240002,0.000000\n"
+        "NO,3,5,6501.894569,6501.876152,0.018418\n"
+    )
+
+
+def test_compare_fails_per_cell_and_bounds_its_work(runner):
+    # nu = 2000 lies far beyond the bound range: the oracle solves nothing
+    # for it, the nu = 0 row still prints and the cell fails with exit 3
+    start = time.perf_counter()
+    result = runner.invoke(cli, ["compare", "NO", "--nu", "0,2000", "--J", "0",
+                                 "--format", "csv"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 3
+    assert result.stdout.splitlines()[1].startswith("NO,0,0,947.756848,947.7568")
+    assert len(result.stdout.splitlines()) == 2
+    assert result.stderr == (
+        "error: nu=2000 J=0: beyond the bound range; no oracle level\n"
     )
 
 

@@ -5,7 +5,7 @@ Each case below has a fixture ``tests/golden/<name>.txt`` holding what
 byte equality, so any change to a printed number, a format or a message
 shows here.  Floats are printed at full repr in json, so the fixtures
 carry numpy's and LAPACK's rounding; they were recorded on x86-64 with
-numpy 2.4 and scipy 1.17.  After an intended output change, re-record
+numpy 2.4 and its bundled OpenBLAS 0.3.31.  After an intended output change, re-record
 them with
 
     PYTHONPATH=src python tests/test_golden.py

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rovib.oracle import (
+    DVR_TOL_CM1,
+    MAX_BASIS,
     ConvergeResult,
     RadialGrid,
     ResolutionError,
@@ -13,6 +17,7 @@ from rovib.oracle import (
     solve_bound_states,
 )
 from rovib.potentials import SpectroscopicParams, TietzHua, derive, from_params
+from rovib.spectrum import level_table
 from rovib.units import kinetic_factor
 
 MU = 8.0
@@ -173,3 +178,47 @@ def test_deviation_report_collects_closed_form_failures(db):
     report = deviation_report(p, [0], [0, 1300], n_points=2000)
     assert [(r.nu, r.J) for r in report.rows] == [(0, 0)]
     assert [(f.nu, f.J) for f in report.failures] == [(0, 1300)]
+
+
+def test_deviation_report_fails_cells_it_cannot_compare(db):
+    # nu = 80 is beyond NO's bound range; a budget of 100 basis functions
+    # resolves nu = 0 but not nu = 3, and nothing larger is built
+    p = db.get("NO")
+    report = deviation_report(p, [0, 3, 80], [0], n_points=100)
+    assert [(r.nu, r.J) for r in report.rows] == [(0, 0)]
+    assert report.rows[0].oracle_err <= DVR_TOL_CM1
+    assert report.rows[0].basis <= 100
+    assert [(f.nu, f.J) for f in report.failures] == [(3, 0), (80, 0)]
+    assert "not converged to 1e-06 cm^-1 within 100 basis" in report.failures[0].error
+    assert report.failures[1].error == "beyond the bound range; no oracle level"
+
+    report = deviation_report(p, [0, 3, 80], [0], n_points=10**6)
+    assert [(r.nu, r.J) for r in report.rows] == [(0, 0), (3, 0)]
+    for row in report.rows:
+        assert row.oracle_err <= DVR_TOL_CM1
+        assert row.basis <= MAX_BASIS
+        assert abs(row.delta) <= 1.0e-6  # the closed form is exact at J = 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    De=st.floats(2.0e4, 6.0e4),
+    re=st.floats(1.0, 1.5),
+    mu=st.floats(5.0, 12.0),
+    alpha=st.floats(1.0, 1.6),
+    eta=st.floats(0.005, 0.05) | st.floats(-0.05, -0.005),
+)
+def test_dvr_matches_exact_closed_form_at_J0(De, re, mu, alpha, eta):
+    # at J = 0 the closed form is exact, so every level up to 0.9 De must
+    # agree with the sinc-DVR oracle to 1e-6 cm^-1
+    params = SpectroscopicParams(
+        name="H", De=De, re=re, we=4.0 * alpha * math.sqrt(De * kinetic_factor(mu)),
+        mu=mu, alpha=alpha, eta=eta,
+    )
+    rows, _ = level_table(params, list(range(200)), [0])
+    nus = [row.nu for row in rows if row.bound and row.E <= 0.9 * De]
+    report = deviation_report(params, nus, [0])
+    assert report.failures == []
+    assert [row.nu for row in report.rows] == nus
+    for row in report.rows:
+        assert abs(row.delta) <= 1.0e-6, (row.nu, row.delta, row.oracle_err)

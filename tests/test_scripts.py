@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script", [
     "approximation_error_report.py",
     "kinetic_constant_trend.py",
+    "oracle_deviation_report.py",
     "reproduce_level_tables.py",
 ])
 def test_report_script_exits_0(script):
