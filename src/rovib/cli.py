@@ -1,15 +1,18 @@
 """
 cli.py
 
-Command line front end.
+Command line front end.  The table commands (levels, morse, compare and
+approx-error's csv) build row dicts and print them through _render: text
+and csv print the table's columns, json dumps the rows whole.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
-database, bad index syntax, a request above MAX_INDICES, MAX_PAIRS,
-MAX_GRID_POINTS, MAX_ORACLE_POINTS or MAX_SCAN_POINTS), 3 when a
-requested computation fails; in the latter case whatever could be
-computed is still printed and the failures go to stderr.  Warnings (csv rows beyond the bound
-range) also go to stderr and leave the exit code alone.  Identical
-arguments and database give byte-identical output.
+database, bad index syntax, a request above MAX_INDICES, MAX_PAIRS or
+MAX_ORACLE_POINTS, --grid-points outside 4..MAX_GRID_POINTS, --points
+outside 2..MAX_SCAN_POINTS), 3 when a requested computation fails; in
+the latter case whatever could be computed is still printed and the
+failures go to stderr.  Warnings (csv rows beyond the bound range) also
+go to stderr and leave the exit code alone.  Identical arguments and
+database give byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from itertools import zip_longest
 
 import click
 import numpy as np
@@ -55,19 +58,6 @@ MAX_GRID_POINTS = 16384
 # each refined up to MAX_BASIS, took 27 s and 106 MB on a 2-vCPU host
 MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI request."""
-
-    molecule: str
-    nu_list: tuple[int, ...] = (0,)
-    J_list: tuple[int, ...] = (0,)
-    output_format: str = "text"  # text | csv | json
-    energy_unit: str = "cm-1"  # cm-1 | roy_eV
-    db: str | None = None
-    grid_points: int = MAX_BASIS
 
 
 def parse_index_list(text: str, label: str) -> tuple[int, ...]:
@@ -108,291 +98,41 @@ def parse_grid(nu_spec: str, j_spec: str) -> tuple[tuple[int, ...], tuple[int, .
     return nu_list, J_list
 
 
-def _load(db_path: str | None):
+def _params(molecule: str, db: str | None) -> SpectroscopicParams:
+    """The molecule's constants; a bad database or unknown name exits 2."""
     try:
-        return load_database(db_path)
-    except DatabaseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-
-
-def _molecule_params(config: RunConfig) -> SpectroscopicParams:
-    try:
-        return _load(config.db).get(config.molecule)
-    except UnknownMoleculeError as exc:
+        return load_database(db).get(molecule)
+    except (DatabaseError, UnknownMoleculeError) as exc:
         click.echo(f"error: {exc.args[0]}", err=True)
         sys.exit(EXIT_USAGE)
 
 
-def _energy_out(config: RunConfig, params: SpectroscopicParams, value: float) -> float:
-    if config.energy_unit == "roy_eV":
-        return wavenumber_to_roy_ev(value, params.De)
-    return value
+# --unit: energy column, its csv format and the conversion from cm^-1
+UNITS = {
+    "cm-1": ("E_cm1", ".6f", lambda E, De: E),
+    "roy_eV": ("E_roy_eV", ".8f", wavenumber_to_roy_ev),
+}
+# (key, text spec, csv spec): the text header takes the spec's width
+MOLECULE_NU_J = (("molecule", "<10", ""), ("nu", ">4", ""), ("J", ">4", ""))
 
 
-def _energy_column(config: RunConfig) -> str:
-    return "E_roy_eV" if config.energy_unit == "roy_eV" else "E_cm1"
-
-
-def _fmt_energy(config: RunConfig, value: float) -> str:
-    return f"{value:.8f}" if config.energy_unit == "roy_eV" else f"{value:.6f}"
-
-
-# ---------------------------------------------------------------------------
-# command implementations (return output text plus failure lines)
-
-
-def cmd_levels(config: RunConfig) -> tuple[str, list[str], list[str]]:
-    """Closed-form level table for one molecule, its failures and warnings."""
-    params = _molecule_params(config)
-    rows, failures = level_table(params, list(config.nu_list), list(config.J_list))
-    col = _energy_column(config)
-    if config.output_format == "csv":
-        lines = [f"molecule,nu,J,{col}"]
-        for row in rows:
-            value = _energy_out(config, params, row.E)
-            lines.append(
-                f"{config.molecule},{row.nu},{row.J},{_fmt_energy(config, value)}"
-            )
-        text = "\n".join(lines)
-    elif config.output_format == "json":
-        text = json.dumps([
-            {
-                "molecule": config.molecule,
-                "nu": row.nu,
-                "J": row.J,
-                col: _energy_out(config, params, row.E),
-                "bound": row.bound,
-            }
-            for row in rows
-        ], indent=2)
+def _render(
+    fmt: str, columns: Sequence[tuple[str, str | None, str]], rows: list[dict],
+    marks: Sequence[str] = (),
+) -> str:
+    """Rows as a text table (each line ending in its mark), csv, or json;
+    json dumps the row dicts whole, keys outside the columns too."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2)
+    if fmt == "csv":
+        lines = [",".join(key for key, _, _ in columns)]
+        lines += [",".join(format(row[key], spec) for key, _, spec in columns)
+                  for row in rows]
     else:
-        lines = [f"{'molecule':<10}{'nu':>4}{'J':>4}{col:>18}"]
-        for row in rows:
-            value = _energy_out(config, params, row.E)
-            marker = "" if row.bound else "  (beyond bound range)"
-            lines.append(
-                f"{config.molecule:<10}{row.nu:>4}{row.J:>4}{value:>18.4f}{marker}"
-            )
-        text = "\n".join(lines)
-    unbound = sum(not row.bound for row in rows)
-    warnings = []
-    if unbound and config.output_format == "csv":  # text marks them, json has bound
-        warnings.append(
-            f"warning: {unbound} of {len(rows)} rows lie beyond the bound range; "
-            f"their {col} is not a bound level"
-        )
-    failures = [f"error: nu={f.nu} J={f.J}: {f.error}" for f in failures]
-    return text, failures, warnings
-
-
-def cmd_compare(config: RunConfig) -> tuple[str, list[str]]:
-    """Closed form against the sinc-DVR oracle."""
-    params = _molecule_params(config)
-    try:
-        report = deviation_report(
-            params,
-            list(config.nu_list),
-            list(config.J_list),
-            n_points=config.grid_points,
-        )
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    if config.output_format == "csv":
-        lines = ["molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1"]
-        for row in report.rows:
-            lines.append(
-                f"{config.molecule},{row.nu},{row.J},{row.E_closed:.6f},"
-                f"{row.E_oracle:.6f},{row.delta:.6f}"
-            )
-        text = "\n".join(lines)
-    elif config.output_format == "json":
-        text = json.dumps({
-            "molecule": config.molecule,
-            "rows": [
-                {
-                    "nu": row.nu, "J": row.J, "E_cm1": row.E_closed,
-                    "E_oracle_cm1": row.E_oracle, "delta_cm1": row.delta,
-                    "oracle_err_cm1": row.oracle_err, "basis": row.basis,
-                }
-                for row in report.rows
-            ],
-            "max_abs_delta_cm1": report.max_abs_delta,
-            "mean_delta_cm1": report.mean_delta,
-        }, indent=2)
-    else:
-        lines = [
-            f"{'molecule':<10}{'nu':>4}{'J':>4}{'E_cm1':>16}"
-            f"{'E_oracle_cm1':>16}{'delta_cm1':>12}"
-        ]
-        for row in report.rows:
-            lines.append(
-                f"{config.molecule:<10}{row.nu:>4}{row.J:>4}{row.E_closed:>16.4f}"
-                f"{row.E_oracle:>16.4f}{row.delta:>12.4f}"
-            )
-        lines.append(
-            f"max|delta| = {report.max_abs_delta:.4f} cm^-1, "
-            f"mean delta = {report.mean_delta:.4f} cm^-1"
-        )
-        text = "\n".join(lines)
-    return text, [f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures]
-
-
-def cmd_varshni(config: RunConfig) -> tuple[str, list[str]]:
-    """Minimum-condition residuals plus shape and range parameters."""
-    params = _molecule_params(config)
-    derived = derive(params)
-    report = verify_varshni(from_params(params), derived)
-    pole = pole_radius(derived.b, derived.q)
-    dU_rel = abs(report.dU_at_re) * params.re / params.De
-    depth_rel = abs(report.depth - params.De) / params.De
-    d2U_rel = abs(report.d2U_at_re - derived.Ke) / derived.Ke
-    beta_rel = (
-        abs(derived.beta - params.beta_table) / params.beta_table
-        if params.beta_table
-        else None
-    )
-    alpha, notes = {}, {}
-    for variant in ("corrected", "as_published"):
-        try:
-            alpha[variant] = alpha_dmrm(params, derived, variant)
-            notes[variant] = f"{alpha[variant]:.6f}"
-        except ValueError as exc:
-            # e.g. O2: the published exponent pushes the W argument below -1/e
-            alpha[variant] = None
-            notes[variant] = f"no real value ({exc})"
-    corrected, published = alpha["corrected"], alpha["as_published"]
-    if corrected is None or published is None:
-        difference = None
-        which = "published" if published is None else "corrected"
-        difference_note = f"undefined ({which} variant leaves the real domain)"
-    else:
-        difference = corrected - published
-        difference_note = f"{difference:.6e}   (unequal)"
-    failures = []
-    if corrected is None:
-        failures.append(f"error: alpha_w_corrected: {notes['corrected']}")
-    if config.output_format == "json":
-        return json.dumps({
-            "molecule": config.molecule,
-            "re_A": report.re,
-            "dU_at_re_rel": dU_rel,
-            "depth_cm1": report.depth,
-            "depth_rel_err": depth_rel,
-            "d2U_at_re_cm1_A2": report.d2U_at_re,
-            "Ke_cm1_A2": derived.Ke,
-            "d2U_rel_err": d2U_rel,
-            "q": derived.q,
-            "pole_radius_A": pole,
-            "beta_derived_inv_A": derived.beta,
-            "beta_table_inv_A": params.beta_table,
-            "beta_rel_diff": beta_rel,
-            "alpha_w_corrected_inv_A": corrected,
-            "alpha_w_as_published_inv_A": published,
-            "alpha_w_difference_inv_A": difference,
-        }, indent=2), failures
-    pole_note = (
-        f"{pole:.6f}" if pole is not None else "none for r > 0"
-    )
-    lines = [
-        f"molecule                     {config.molecule}",
-        f"re_A                         {report.re:.6f}",
-        f"dU_at_re (rel to De/re)      {dU_rel:.3e}   target 0",
-        f"depth_cm1                    {report.depth:.6f}   target {params.De:.6f} "
-        f"(rel err {depth_rel:.3e})",
-        f"d2U_at_re_cm1_A2             {report.d2U_at_re:.6f}   harmonic Ke "
-        f"{derived.Ke:.6f} (rel diff {d2U_rel:.3e})",
-        f"q                            {derived.q:.8f}",
-        f"pole_radius_A                {pole_note}",
-        f"beta_derived_inv_A           {derived.beta:.6f}",
-    ]
-    if params.beta_table is not None:
-        agree = "agrees with" if beta_rel < 5.0e-5 else "DIFFERS from"
-        lines.append(
-            f"beta_table_inv_A             {params.beta_table:.6f}   derived value "
-            f"{agree} the tabulated one (rel diff {beta_rel:.2e})"
-        )
-    lines += [
-        f"alpha_w_corrected_inv_A      {notes['corrected']}",
-        f"alpha_w_as_published_inv_A   {notes['as_published']}",
-        f"alpha_w_difference_inv_A     {difference_note}",
-    ]
-    return "\n".join(lines), failures
-
-
-def cmd_morse(config: RunConfig) -> tuple[str, list[str]]:
-    """Morse vibrational column from the same De, re, we."""
-    params = _molecule_params(config)
-    rows: list[tuple[int, float]] = []
-    failures: list[str] = []
-    for nu in config.nu_list:
-        try:
-            rows.append((nu, morse_vibrational_energy(params.De, params.we, nu)))
-        except ValueError as exc:
-            failures.append(f"error: nu={nu}: {exc}")
-    col = _energy_column(config)
-    if config.output_format == "csv":
-        lines = [f"molecule,nu,{col}"]
-        for nu, value in rows:
-            out = _energy_out(config, params, value)
-            lines.append(f"{config.molecule},{nu},{_fmt_energy(config, out)}")
-        text = "\n".join(lines)
-    elif config.output_format == "json":
-        text = json.dumps([
-            {
-                "molecule": config.molecule,
-                "nu": nu,
-                col: _energy_out(config, params, value),
-            }
-            for nu, value in rows
-        ], indent=2)
-    else:
-        lines = [f"{'molecule':<10}{'nu':>4}{col:>18}"]
-        for nu, value in rows:
-            lines.append(
-                f"{config.molecule:<10}{nu:>4}"
-                f"{_energy_out(config, params, value):>18.4f}"
-            )
-        text = "\n".join(lines)
-    return text, failures
-
-
-def cmd_approx_error(config: RunConfig, points: int) -> str:
-    """Centrifugal approximation error scan."""
-    params = _molecule_params(config)
-    derived = derive(params)
-    coeffs = badawi_coefficients(derived.u, params.eta)
-    radii = default_r_grid(params.re, points, pole=pole_radius(derived.b, derived.q))
-    rational = centrifugal_approx_error(
-        coeffs, derived.q, derived.u, derived.b, radii
-    )
-    exponential = greene_aldrich_error(derived.b, radii)
-    if config.output_format == "csv":
-        lines = ["r_A,rational_rel_err,exponential_rel_err"]
-        for r, a, g in zip(radii, rational, exponential):
-            lines.append(f"{r:.6f},{a:.6e},{g:.6e}")
-        return "\n".join(lines)
-    if config.output_format == "json":
-        return json.dumps({
-            "molecule": config.molecule,
-            "r_A": list(radii),
-            "rational_rel_err": list(rational),
-            "exponential_rel_err": list(exponential),
-        }, indent=2)
-    r_eq = np.array([params.re])
-    at_re_rational = float(
-        centrifugal_approx_error(coeffs, derived.q, derived.u, derived.b, r_eq)[0]
-    )
-    at_re_exponential = float(greene_aldrich_error(derived.b, r_eq)[0])
-    return "\n".join([
-        f"molecule {config.molecule}: centrifugal approximation error, "
-        f"{radii.size} radii in [{radii[0]:.3f}, {radii[-1]:.3f}] A",
-        f"max |rational|    = {float(np.max(np.abs(rational))):.3e}",
-        f"max |exponential| = {float(np.max(np.abs(exponential))):.3e}",
-        f"at re: rational {at_re_rational:.3e}, "
-        f"exponential {at_re_exponential:.3e}",
-    ])
+        lines = ["".join(format(key, spec.split(".")[0]) for key, spec, _ in columns)]
+        lines += ["".join(format(row[key], spec) for key, spec, _ in columns) + mark
+                  for row, mark in zip_longest(rows, marks, fillvalue="")]
+    return "\n".join(lines)
 
 
 def _emit(text: str, failures: list[str], warnings: Sequence[str] = ()) -> None:
@@ -431,7 +171,7 @@ _format_option = click.option(
               help="Vibrational indices, e.g. '0,3,5' or '0..9'.")
 @click.option("--J", "j_spec", default="0", show_default=True,
               help="Rotational indices, same syntax as --nu.")
-@click.option("--unit", type=click.Choice(["cm-1", "roy_eV"]), default="cm-1",
+@click.option("--unit", type=click.Choice(list(UNITS)), default="cm-1",
               show_default=True, help="Energy unit of the output column.")
 @_format_option
 @_db_option
@@ -447,15 +187,24 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
         rovib levels O2 --nu 0 --unit roy_eV
     """
     nu_list, J_list = parse_grid(nu_spec, j_spec)
-    config = RunConfig(
-        molecule=molecule,
-        nu_list=nu_list,
-        J_list=J_list,
-        energy_unit=unit,
-        output_format=fmt,
-        db=db,
+    params = _params(molecule, db)
+    col, csv_spec, convert = UNITS[unit]
+    table, failures = level_table(params, list(nu_list), list(J_list))
+    rows = [{"molecule": molecule, "nu": row.nu, "J": row.J,
+             col: convert(row.E, params.De), "bound": row.bound} for row in table]
+    marks = ["" if row.bound else "  (beyond bound range)" for row in table]
+    unbound = sum(not row.bound for row in table)
+    warnings = []
+    if unbound and fmt == "csv":  # text marks them, json has bound
+        warnings.append(
+            f"warning: {unbound} of {len(rows)} rows lie beyond the bound range; "
+            f"their {col} is not a bound level"
+        )
+    _emit(
+        _render(fmt, [*MOLECULE_NU_J, (col, ">18.4f", csv_spec)], rows, marks),
+        [f"error: nu={f.nu} J={f.J}: {f.error}" for f in failures],
+        warnings,
     )
-    _emit(*cmd_levels(config))
 
 
 @cli.command()
@@ -464,7 +213,7 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
               help="Vibrational indices.")
 @click.option("--J", "j_spec", default=STANDARD_J, show_default=True,
               help="Rotational indices.")
-@click.option("--grid-points", type=click.IntRange(max=MAX_GRID_POINTS),
+@click.option("--grid-points", type=click.IntRange(4, MAX_GRID_POINTS),
               default=MAX_BASIS, show_default=True,
               help=f"Largest sinc-DVR basis the oracle may build per J "
                    f"(at most {MAX_BASIS} are used).")
@@ -489,15 +238,31 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
             f"--J x --grid-points asks for {len(J_list) * grid_points} oracle "
             f"basis functions; the limit is {MAX_ORACLE_POINTS}"
         )
-    config = RunConfig(
-        molecule=molecule,
-        nu_list=nu_list,
-        J_list=J_list,
-        output_format=fmt,
-        db=db,
-        grid_points=grid_points,
+    report = deviation_report(
+        _params(molecule, db), list(nu_list), list(J_list), n_points=grid_points
     )
-    _emit(*cmd_compare(config))
+    rows = [{"nu": row.nu, "J": row.J, "E_cm1": row.E_closed,
+             "E_oracle_cm1": row.E_oracle, "delta_cm1": row.delta,
+             "oracle_err_cm1": row.oracle_err, "basis": row.basis}
+            for row in report.rows]
+    if fmt == "json":
+        text = json.dumps({
+            "molecule": molecule,
+            "rows": rows,
+            "max_abs_delta_cm1": report.max_abs_delta,
+            "mean_delta_cm1": report.mean_delta,
+        }, indent=2)
+    else:
+        text = _render(fmt, [
+            *MOLECULE_NU_J, ("E_cm1", ">16.4f", ".6f"),
+            ("E_oracle_cm1", ">16.4f", ".6f"), ("delta_cm1", ">12.4f", ".6f"),
+        ], [{"molecule": molecule, **row} for row in rows])
+    if fmt == "text":
+        text += (
+            f"\nmax|delta| = {report.max_abs_delta:.4f} cm^-1, "
+            f"mean delta = {report.mean_delta:.4f} cm^-1"
+        )
+    _emit(text, [f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures])
 
 
 @cli.command()
@@ -517,15 +282,91 @@ def varshni(molecule, fmt, db) -> None:
 
         rovib varshni NO
     """
-    config = RunConfig(molecule=molecule, output_format=fmt, db=db)
-    _emit(*cmd_varshni(config))
+    params = _params(molecule, db)
+    derived = derive(params)
+    report = verify_varshni(from_params(params), derived)
+    pole = pole_radius(derived.b, derived.q)
+    dU_rel = abs(report.dU_at_re) * params.re / params.De
+    depth_rel = abs(report.depth - params.De) / params.De
+    d2U_rel = abs(report.d2U_at_re - derived.Ke) / derived.Ke
+    beta_rel = (
+        abs(derived.beta - params.beta_table) / params.beta_table
+        if params.beta_table
+        else None
+    )
+    alpha, notes = {}, {}
+    for variant in ("corrected", "as_published"):
+        try:
+            alpha[variant] = alpha_dmrm(params, derived, variant)
+            notes[variant] = f"{alpha[variant]:.6f}"
+        except ValueError as exc:
+            # e.g. O2: the published exponent pushes the W argument below -1/e
+            alpha[variant] = None
+            notes[variant] = f"no real value ({exc})"
+    corrected, published = alpha["corrected"], alpha["as_published"]
+    if corrected is None or published is None:
+        difference = None
+        which = "published" if published is None else "corrected"
+        difference_note = f"undefined ({which} variant leaves the real domain)"
+    else:
+        difference = corrected - published
+        difference_note = f"{difference:.6e}   (unequal)"
+    failures = []
+    if corrected is None:
+        failures.append(f"error: alpha_w_corrected: {notes['corrected']}")
+    if fmt == "json":
+        text = json.dumps({
+            "molecule": molecule,
+            "re_A": report.re,
+            "dU_at_re_rel": dU_rel,
+            "depth_cm1": report.depth,
+            "depth_rel_err": depth_rel,
+            "d2U_at_re_cm1_A2": report.d2U_at_re,
+            "Ke_cm1_A2": derived.Ke,
+            "d2U_rel_err": d2U_rel,
+            "q": derived.q,
+            "pole_radius_A": pole,
+            "beta_derived_inv_A": derived.beta,
+            "beta_table_inv_A": params.beta_table,
+            "beta_rel_diff": beta_rel,
+            "alpha_w_corrected_inv_A": corrected,
+            "alpha_w_as_published_inv_A": published,
+            "alpha_w_difference_inv_A": difference,
+        }, indent=2)
+    else:
+        pole_note = f"{pole:.6f}" if pole is not None else "none for r > 0"
+        lines = [
+            f"molecule                     {molecule}",
+            f"re_A                         {report.re:.6f}",
+            f"dU_at_re (rel to De/re)      {dU_rel:.3e}   target 0",
+            f"depth_cm1                    {report.depth:.6f}   target {params.De:.6f} "
+            f"(rel err {depth_rel:.3e})",
+            f"d2U_at_re_cm1_A2             {report.d2U_at_re:.6f}   harmonic Ke "
+            f"{derived.Ke:.6f} (rel diff {d2U_rel:.3e})",
+            f"q                            {derived.q:.8f}",
+            f"pole_radius_A                {pole_note}",
+            f"beta_derived_inv_A           {derived.beta:.6f}",
+        ]
+        if params.beta_table is not None:
+            agree = "agrees with" if beta_rel < 5.0e-5 else "DIFFERS from"
+            lines.append(
+                f"beta_table_inv_A             {params.beta_table:.6f}   derived value "
+                f"{agree} the tabulated one (rel diff {beta_rel:.2e})"
+            )
+        lines += [
+            f"alpha_w_corrected_inv_A      {notes['corrected']}",
+            f"alpha_w_as_published_inv_A   {notes['as_published']}",
+            f"alpha_w_difference_inv_A     {difference_note}",
+        ]
+        text = "\n".join(lines)
+    _emit(text, failures)
 
 
 @cli.command()
 @click.argument("molecule")
 @click.option("--nu", "nu_spec", default="0..9", show_default=True,
               help="Vibrational indices.")
-@click.option("--unit", type=click.Choice(["cm-1", "roy_eV"]), default="cm-1",
+@click.option("--unit", type=click.Choice(list(UNITS)), default="cm-1",
               show_default=True)
 @_format_option
 @_db_option
@@ -536,19 +377,24 @@ def morse(molecule, nu_spec, unit, fmt, db) -> None:
 
         rovib morse N2 --nu 0..9 --format csv
     """
-    config = RunConfig(
-        molecule=molecule,
-        nu_list=parse_index_list(nu_spec, "--nu"),
-        energy_unit=unit,
-        output_format=fmt,
-        db=db,
-    )
-    _emit(*cmd_morse(config))
+    nu_list = parse_index_list(nu_spec, "--nu")
+    params = _params(molecule, db)
+    col, csv_spec, convert = UNITS[unit]
+    rows, failures = [], []
+    for nu in nu_list:
+        try:
+            E = morse_vibrational_energy(params.De, params.we, nu)
+        except ValueError as exc:
+            failures.append(f"error: nu={nu}: {exc}")
+        else:
+            rows.append({"molecule": molecule, "nu": nu, col: convert(E, params.De)})
+    _emit(_render(fmt, [*MOLECULE_NU_J[:2], (col, ">18.4f", csv_spec)], rows),
+          failures)
 
 
 @cli.command("approx-error")
 @click.argument("molecule")
-@click.option("--points", type=click.IntRange(max=MAX_SCAN_POINTS), default=200,
+@click.option("--points", type=click.IntRange(2, MAX_SCAN_POINTS), default=200,
               show_default=True, help="Number of radii in the scan.")
 @_format_option
 @_db_option
@@ -563,12 +409,47 @@ def approx_error(molecule, points, fmt, db) -> None:
 
         rovib approx-error NO --format csv
     """
-    config = RunConfig(molecule=molecule, output_format=fmt, db=db)
+    params = _params(molecule, db)
     try:
-        click.echo(cmd_approx_error(config, points))
+        derived = derive(params)
+        coeffs = badawi_coefficients(derived.u, params.eta)
+        pole = pole_radius(derived.b, derived.q)
+        radii = default_r_grid(params.re, points, pole=pole)
+        rational = centrifugal_approx_error(
+            coeffs, derived.q, derived.u, derived.b, radii
+        )
+        exponential = greene_aldrich_error(derived.b, radii)
+        if fmt == "csv":
+            text = _render(fmt, [
+                ("r_A", None, ".6f"), ("rational_rel_err", None, ".6e"),
+                ("exponential_rel_err", None, ".6e"),
+            ], [{"r_A": r, "rational_rel_err": a, "exponential_rel_err": g}
+                for r, a, g in zip(radii, rational, exponential)])
+        elif fmt == "json":
+            text = json.dumps({
+                "molecule": molecule,
+                "r_A": list(radii),
+                "rational_rel_err": list(rational),
+                "exponential_rel_err": list(exponential),
+            }, indent=2)
+        else:
+            r_eq = np.array([params.re])
+            at_re_rational = float(centrifugal_approx_error(
+                coeffs, derived.q, derived.u, derived.b, r_eq
+            )[0])
+            at_re_exponential = float(greene_aldrich_error(derived.b, r_eq)[0])
+            text = "\n".join([
+                f"molecule {molecule}: centrifugal approximation error, "
+                f"{radii.size} radii in [{radii[0]:.3f}, {radii[-1]:.3f}] A",
+                f"max |rational|    = {float(np.max(np.abs(rational))):.3e}",
+                f"max |exponential| = {float(np.max(np.abs(exponential))):.3e}",
+                f"at re: rational {at_re_rational:.3e}, "
+                f"exponential {at_re_exponential:.3e}",
+            ])
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_COMPUTE)
+    click.echo(text)
 
 
 def main() -> None:

@@ -59,7 +59,7 @@ class EnergyLevel:
     nu: int
     J: int
     E: float  # cm^-1, measured from the potential minimum
-    bound: bool  # False once the formula has left its monotone range
+    bound: bool  # False past the formula's monotone range or the zero of s
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,13 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     D = np.atleast_1d(D)  # per J; a scalar when eff holds one J
     failed = (D < 0.0) | (s == 0.0) | np.array([e is not None for e in J_errors])
     failed[[e is not None for e in nu_errors]] = True
+    # past the zero of s (eta < 0) bracket turns negative again, at large
+    # negative E; only cells where s keeps the sign of q are bound
+    bound_cells = (bracket < 0.0) & (s * pform.q > 0.0)
     rows = [
         EnergyLevel(nu, J, E_cell, bound)
         for nu, E_row, bound_row, failed_row in zip(
-            nu_list, E.tolist(), (bracket < 0.0).tolist(), failed.tolist())
+            nu_list, E.tolist(), bound_cells.tolist(), failed.tolist())
         for J, E_cell, bound, bad in zip(J_list, E_row, bound_row, failed_row)
         if not bad
     ]

@@ -263,13 +263,15 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
     monkeypatch.setattr(cli_module, "deviation_report", not_called)
     monkeypatch.setattr(cli_module, "default_r_grid", not_called)
     assert MAX_GRID_POINTS >= MAX_BASIS  # the largest basis the oracle builds
-    for args, cap in (
-        (["compare", "NO", "--nu", "0", "--J", "0", "--grid-points"], MAX_GRID_POINTS),
-        (["approx-error", "NO", "--points"], MAX_SCAN_POINTS),
+    for args, low, cap in (
+        (["compare", "NO", "--nu", "0", "--J", "0", "--grid-points"], 4,
+         MAX_GRID_POINTS),
+        (["approx-error", "NO", "--points"], 2, MAX_SCAN_POINTS),
     ):
-        result = runner.invoke(cli, [*args, str(cap + 1)])
-        assert result.exit_code == 2
-        assert f"{cap + 1} is not in the range x<={cap}" in result.stderr
+        for bad in (cap + 1, low - 1, -5):
+            result = runner.invoke(cli, [*args, str(bad)])
+            assert result.exit_code == 2
+            assert f"{bad} is not in the range {low}<=x<={cap}" in result.stderr
         # the cap itself is accepted and goes on to the computation
         result = runner.invoke(cli, [*args, str(cap)])
         assert "reached the computation" in str(result.exception)

@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from rovib.cli import cli
-from rovib.database import ENV_VAR
+from rovib.database import ENV_VAR, bundled_path
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -51,18 +51,32 @@ CASES = {
     "compare_NO_text": "compare NO --nu 0,3 --J 0,5 --grid-points 2000",
     "compare_O2_csv": "compare O2 --nu 0,2 --J 0,20 --grid-points 2000 --format csv",
     "compare_N2_json": "compare N2 --nu 0,1 --J 0 --grid-points 2000 --format json",
+    "compare_partial": "compare NO --nu 0,2000 --J 0",
+    "levels_unknown_molecule": "levels CO",
+    "help": "--help",
+    "levels_help": "levels --help",
+    "compare_help": "compare --help",
+    "varshni_help": "varshni --help",
+    "morse_help": "morse --help",
+    "approx_error_help": "approx-error --help",
 }
 
 
 def run(args: str) -> str:
-    """One command's exit code, stdout and stderr as one fixture text."""
+    """One command's exit code, stdout and stderr as one fixture text.
+
+    The bundled database's path depends on the checkout, so messages that
+    name it carry ``<bundled>`` instead.
+    """
     result = CliRunner().invoke(
-        cli, args.split(), env={ENV_VAR: None}, catch_exceptions=False
+        cli, args.split(), env={ENV_VAR: None}, catch_exceptions=False,
+        terminal_width=80,
     )
-    return (
+    text = (
         f"exit {result.exit_code}\n--- stdout\n{result.stdout}"
         f"--- stderr\n{result.stderr}"
     )
+    return text.replace(str(bundled_path()), "<bundled>")
 
 
 @pytest.mark.parametrize("name", CASES)

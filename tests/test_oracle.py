@@ -222,3 +222,24 @@ def test_dvr_matches_exact_closed_form_at_J0(De, re, mu, alpha, eta):
     assert [row.nu for row in report.rows] == nus
     for row in report.rows:
         assert abs(row.delta) <= 1.0e-6, (row.nu, row.delta, row.oracle_err)
+
+
+def test_cells_past_the_zero_of_s_are_beyond_the_bound_range():
+    # eta < 0: from nu = 55 on, s has left the sign of q and the bracket
+    # turns negative again at E down to -6.8e7 cm^-1; those cells are not
+    # bound, so the oracle fails them without refining its basis for them
+    params = SpectroscopicParams(
+        name="X", De=5340.0, re=1.597, we=1000.0, mu=7.95, alpha=2.13, eta=-0.2735,
+    )
+    rows, failures = level_table(params, list(range(80)), [0])
+    assert failures == []
+    assert [row.nu for row in rows if row.bound] == list(range(13))
+    assert min(row.E for row in rows) < -6.0e7
+
+    report = deviation_report(params, [0, 5, 12, 55, 56, 79], [0])
+    assert [(row.nu, row.basis) for row in report.rows] == [
+        (0, 430), (5, 430), (12, 430)
+    ]
+    assert [f.nu for f in report.failures] == [55, 56, 79]
+    assert all(f.error == "beyond the bound range; no oracle level"
+               for f in report.failures)
