@@ -1,7 +1,7 @@
 """Ro-vibrational bound states of diatomics in a deformed Schioberg potential."""
 
 from .database import MoleculeDatabase, load_database
-from .oracle import RadialGrid, converge, deviation_report, solve_bound_states
+from .oracle import converge, deviation_report
 from .potentials import (
     DerivedParams,
     PForm,
@@ -38,10 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MoleculeDatabase",
     "load_database",
-    "RadialGrid",
     "converge",
     "deviation_report",
-    "solve_bound_states",
     "DerivedParams",
     "PForm",
     "SpectroscopicParams",

@@ -249,8 +249,8 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
         text = json.dumps({
             "molecule": molecule,
             "rows": rows,
-            "max_abs_delta_cm1": report.max_abs_delta,
-            "mean_delta_cm1": report.mean_delta,
+            "max_abs_delta_cm1": report.max_abs_delta if rows else None,
+            "mean_delta_cm1": report.mean_delta if rows else None,
         }, indent=2)
     else:
         text = _render(fmt, [

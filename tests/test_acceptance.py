@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from rovib.oracle import default_grid, deviation_report, solve_bound_states
+from rovib.oracle import DVR_TOL_CM1, converge, deviation_report, dvr_eigenvalues
 from rovib.potentials import (
     SpectroscopicParams,
     TietzHua,
@@ -258,23 +258,21 @@ def test_property_suite_is_fast_and_passes(db):
             levels = [level(params, nu, J) for J in range(31)]
             assert all(b.E > a.E for a, b in zip(levels, levels[1:]))
 
-    # node counts and grid convergence on the eigensolver
+    # sinc-DVR refinement: each basis doubling cuts the shift of the
+    # lowest levels far more than the 4x of a second-order stencil, and
+    # converge's N -> 2N levels match the exact J = 0 closed form
     params = db.get("NO")
-    model = from_params(params)
-    grid = default_grid(params.re, 2000)
-    ladder = [
-        solve_bound_states(model, 0, params.mu, g, 3)
-        for g in (grid, grid.halved(), grid.halved().halved())
-    ]
-    for sols in ladder:
-        assert [s.nu for s in sols] == [0, 1, 2]
-        assert all(s.wavefunction[0] == 0.0 and s.wavefunction[-1] == 0.0
-                   for s in sols)
+    model, k = from_params(params), kinetic_factor(params.mu)
+    ladder = []
+    for n in (40, 80, 160):
+        r = np.linspace(0.6 * params.re, 2.0 * params.re, n)
+        ladder.append(dvr_eigenvalues(r, evaluate(model, r), k)[:3])
+    step1, step2 = abs(ladder[1] - ladder[0]), abs(ladder[2] - ladder[1])
+    assert np.all(step2 <= np.maximum(step1 / 100.0, 1.0e-6))
     for nu in range(3):
-        # second-order stencil: each halving should cut the shift 4x
-        step1 = abs(ladder[1][nu].E - ladder[0][nu].E)
-        step2 = abs(ladder[2][nu].E - ladder[1][nu].E)
-        assert step2 == pytest.approx(step1 / 4.0, rel=0.2)
+        result = converge(model, 0, params.mu, nu)
+        assert result.difference <= DVR_TOL_CM1
+        assert abs(result.extrapolated - level(params, nu, 0).E) <= 1.0e-6
 
     # Lambert W defining equation
     for x in np.geomspace(1.0e-9, 1.0e6, 100):

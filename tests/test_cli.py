@@ -344,11 +344,17 @@ rovib.cli.cli.main(["compare", "NO", "--nu", "0,3", "--J", "0,5",
                     "--grid-points", "2000", "--format", "csv"],
                    standalone_mode=False)
 scipy_loaded("compare")
+from rovib.database import load_database
+from rovib.oracle import converge
+from rovib.potentials import from_params
+params = load_database().get("NO")
+converge(from_params(params), 20, params.mu, 5)
+scipy_loaded("converge")
 """
 
 
 def test_no_command_loads_scipy():
-    # a fresh interpreter: scipy is already imported in this one
+    # a fresh interpreter, so that no other test's imports count
     src = str(Path(rovib.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -359,6 +365,7 @@ def test_no_command_loads_scipy():
     assert proc.stderr.splitlines() == [
         "import rovib False", "import rovib.cli False", "levels False",
         "morse False", "varshni False", "approx-error False", "compare False",
+        "converge False",
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"

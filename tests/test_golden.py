@@ -52,6 +52,7 @@ CASES = {
     "compare_O2_csv": "compare O2 --nu 0,2 --J 0,20 --grid-points 2000 --format csv",
     "compare_N2_json": "compare N2 --nu 0,1 --J 0 --grid-points 2000 --format json",
     "compare_partial": "compare NO --nu 0,2000 --J 0",
+    "compare_none_json": "compare NO --nu 80 --J 0 --format json",
     "levels_unknown_molecule": "levels CO",
     "help": "--help",
     "levels_help": "levels --help",

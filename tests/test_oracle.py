@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +8,9 @@ from rovib.oracle import (
     DVR_TOL_CM1,
     MAX_BASIS,
     ConvergeResult,
-    RadialGrid,
     ResolutionError,
     converge,
-    default_grid,
     deviation_report,
-    solve_bound_states,
 )
 from rovib.potentials import SpectroscopicParams, TietzHua, derive, from_params
 from rovib.spectrum import level_table
@@ -30,95 +26,26 @@ def morse_exact(nu):
     return we * x - we**2 * x**2 / (4.0 * MORSE.De)
 
 
-@pytest.fixture(scope="module")
-def morse_pair():
-    grid = default_grid(MORSE.re, 16384)
-    return (
-        solve_bound_states(MORSE, 0, MU, grid, 10),
-        solve_bound_states(MORSE, 0, MU, grid.halved(), 10),
-    )
-
-
-def test_radial_grid_validation():
-    with pytest.raises(ValueError):
-        RadialGrid(0.0, 5.0, 2000)
-    with pytest.raises(ValueError):
-        RadialGrid(2.0, 1.0, 2000)
-    with pytest.raises(ValueError):
-        RadialGrid(0.5, 5.0, 999)
-    grid = RadialGrid(0.5, 5.0, 2001)
-    assert grid.spacing == pytest.approx(4.5 / 2000.0, rel=1.0e-14)
-    half = grid.halved()
-    assert half.n_points == 4001
-    assert half.spacing == pytest.approx(grid.spacing / 2.0, rel=1.0e-14)
-    assert grid.points()[0] == 0.5 and grid.points()[-1] == 5.0
-
-
-def test_default_grid_box():
-    grid = default_grid(1.207)
-    assert grid.n_points == 8000
-    assert grid.r_min == pytest.approx(0.3 * 1.207)
-    assert grid.r_max == pytest.approx(8.0 * 1.207)
-
-
 def test_harmonic_oscillator_with_callable_potential():
     mu, Ke, r0 = 7.5, 1.0e5, 2.0
     we = math.sqrt(2.0 * kinetic_factor(mu) * Ke)
-    sols = solve_bound_states(
-        lambda r: 0.5 * Ke * (r - r0) ** 2, 0, mu, RadialGrid(0.5, 3.5, 8000), 4
-    )
-    for s in sols:
-        assert s.E == pytest.approx(we * (s.nu + 0.5), rel=1.0e-4)
+    for nu in range(4):
+        result = converge(lambda r: 0.5 * Ke * (r - r0) ** 2, 0, mu, nu,
+                          r_range=(0.5, 3.5))
+        assert result.extrapolated == pytest.approx(we * (nu + 0.5), rel=1.0e-4)
 
 
-def test_morse_eigenvalues_match_analytic(morse_pair):
-    coarse, fine = morse_pair
+def test_converge_argument_validation():
+    with pytest.raises(ValueError, match="r_range"):
+        converge(lambda r: (r - 2.0) ** 2, 0, MU, 0)
+    for J, nu, n_points in ((-1, 0, 100), (0, -1, 100), (0, 0, 3)):
+        with pytest.raises(ValueError, match="need nu >= 0"):
+            converge(MORSE, J, MU, nu, n_points=n_points)
+
+
+def test_morse_eigenvalues_match_analytic():
     for nu in range(10):
-        extrapolated = (4.0 * fine[nu].E - coarse[nu].E) / 3.0
-        assert abs(extrapolated - morse_exact(nu)) <= 0.02
-
-
-def test_solutions_are_labeled_and_ordered(morse_pair):
-    coarse, _ = morse_pair
-    assert [s.nu for s in coarse] == list(range(10))
-    assert all(s.J == 0 for s in coarse)
-    energies = [s.E for s in coarse]
-    assert energies == sorted(energies)
-
-
-def test_wavefunction_normalization_and_sign(morse_pair):
-    coarse, _ = morse_pair
-    for s in coarse:
-        psi = s.wavefunction
-        assert psi.size == s.grid.n_points
-        assert psi[0] == 0.0 and psi[-1] == 0.0
-        assert float(np.sum(psi**2)) * s.grid.spacing == pytest.approx(
-            1.0, rel=1.0e-12
-        )
-        peak = np.max(np.abs(psi))
-        lobe = np.argmax(np.abs(psi) > 0.01 * peak)
-        assert psi[lobe] > 0.0
-        # box wide enough that the interior boundary values are tiny
-        assert abs(psi[1]) < 1.0e-6 * peak and abs(psi[-2]) < 1.0e-6 * peak
-
-
-def test_grid_halving_converges(morse_pair):
-    # the stencil is second order: halving the spacing divides the
-    # error against the analytic spectrum by four
-    coarse, fine = morse_pair
-    for nu in (0, 5, 9):
-        err_coarse = coarse[nu].E - morse_exact(nu)
-        err_fine = fine[nu].E - morse_exact(nu)
-        assert abs(err_fine) < abs(err_coarse)
-        assert err_fine == pytest.approx(err_coarse / 4.0, rel=0.05)
-
-
-def test_solver_argument_validation():
-    grid = RadialGrid(0.5, 5.0, 1000)
-    with pytest.raises(ValueError):
-        solve_bound_states(MORSE, 0, MU, grid, 0)
-    with pytest.raises(ValueError):
-        solve_bound_states(MORSE, -1, MU, grid, 1)
+        assert abs(converge(MORSE, 0, MU, nu).extrapolated - morse_exact(nu)) <= 0.02
 
 
 def test_converge_against_published_benchmark(db):
@@ -127,21 +54,25 @@ def test_converge_against_published_benchmark(db):
     p = db.get("NO")
     result = converge(from_params(p), 20, p.mu, 5)
     assert isinstance(result, ConvergeResult)
+    assert (result.nu, result.J) == (5, 20)
     assert result.extrapolated == pytest.approx(10614.632, abs=0.05)
     assert result.difference < 0.01
-    assert result.n_points_fine >= 65535
-    # the halved grid sits closer to the extrapolant
-    assert abs(result.raw_fine - result.extrapolated) < abs(
-        result.raw_coarse - result.extrapolated
-    )
+    assert result.n_points_fine <= MAX_BASIS
+
+
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_converge_equals_deviation_report(db, name):
+    p = db.get(name)
+    result = converge(from_params(p), 20, p.mu, 5)
+    (row,) = deviation_report(p, [5], [20]).rows
+    assert abs(result.extrapolated - row.E_oracle) <= DVR_TOL_CM1
+    assert result.difference <= DVR_TOL_CM1
 
 
 def test_converge_reports_unresolvable_grid(db):
     p = db.get("NO")
-    tiny = RadialGrid(0.3 * p.re, 8.0 * p.re, 1000)
     with pytest.raises(ResolutionError, match="not converged"):
-        converge(from_params(p), 0, p.mu, 5, base_grid=tiny,
-                 tol=1.0e-9, max_doublings=0)
+        converge(from_params(p), 0, p.mu, 5, n_points=20)
 
 
 def test_deng_fan_case_stays_close_to_closed_form(db):
