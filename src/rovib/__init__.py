@@ -23,7 +23,6 @@ from .rotational import (
 )
 from .spectrum import (
     EnergyLevel,
-    MorseLimitError,
     SusyIntermediates,
     energy,
     level,
@@ -56,7 +55,6 @@ __all__ = [
     "effective_coefficients",
     "greene_aldrich_approx",
     "EnergyLevel",
-    "MorseLimitError",
     "SusyIntermediates",
     "energy",
     "level",

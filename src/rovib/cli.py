@@ -29,6 +29,7 @@ from . import __version__
 from .database import ENV_VAR, DatabaseError, UnknownMoleculeError, load_database
 from .oracle import MAX_BASIS, deviation_report
 from .potentials import (
+    SingularRadiusError,
     SpectroscopicParams,
     alpha_dmrm,
     derive,
@@ -284,7 +285,11 @@ def varshni(molecule, fmt, db) -> None:
     """
     params = _params(molecule, db)
     derived = derive(params)
-    report = verify_varshni(from_params(params), derived)
+    try:
+        report = verify_varshni(from_params(params), derived)
+    except SingularRadiusError as exc:  # eta near 1 puts a pole by re
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_COMPUTE)
     pole = pole_radius(derived.b, derived.q)
     dU_rel = abs(report.dU_at_re) * params.re / params.De
     depth_rel = abs(report.depth - params.De) / params.De

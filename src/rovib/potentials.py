@@ -32,6 +32,13 @@ from .units import kinetic_factor
 
 _INV_E = math.exp(-1.0)
 
+# Largest magnitude of a parameter (and inverse of the smallest positive
+# one), and largest exponent b re = 2 alpha re: far beyond any diatomic,
+# and small enough that e^{b re}, we^2 and the P-form, centrifugal and
+# oracle quantities built from them stay finite.
+MAX_MAGNITUDE = 1.0e6
+MAX_B_RE = 50.0
+
 
 class SingularRadiusError(ValueError):
     """Potential evaluated at (or numerically on top of) a pole."""
@@ -46,7 +53,9 @@ class SpectroscopicParams:
     degenerates the potential and is rejected.  ``beta_table`` optionally
     carries a tabulated Morse constant for consistency reports; the
     package otherwise works with the value derived from we.  Every number
-    must be finite.
+    must be finite, the positive ones within [1/MAX_MAGNITUDE,
+    MAX_MAGNITUDE], |eta| at most MAX_MAGNITUDE and 2 alpha re at most
+    MAX_B_RE, so that nothing computed from them overflows.
     """
 
     name: str
@@ -63,14 +72,28 @@ class SpectroscopicParams:
             value = getattr(self, field)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value}")
-        for field in ("De", "re", "we", "mu", "alpha"):
+        for field in ("De", "re", "we", "mu", "alpha", "beta_table"):
             value = getattr(self, field)
+            if value is None:  # beta_table is optional
+                continue
             if not value > 0.0:
                 raise ValueError(f"{field} must be positive, got {value}")
+            if not 1.0 / MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
+                raise ValueError(
+                    f"{field} must lie in [{1.0 / MAX_MAGNITUDE:g}, "
+                    f"{MAX_MAGNITUDE:g}], got {value}"
+                )
         if self.eta == 1.0:
             raise ValueError("eta must differ from 1 (potential degenerates)")
-        if self.beta_table is not None and not self.beta_table > 0.0:
-            raise ValueError(f"beta_table must be positive, got {self.beta_table}")
+        if abs(self.eta) > MAX_MAGNITUDE:
+            raise ValueError(
+                f"eta must lie in [{-MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], got {self.eta}"
+            )
+        if 2.0 * self.alpha * self.re > MAX_B_RE:
+            raise ValueError(
+                f"alpha must keep 2 alpha re at most {MAX_B_RE:g}, got alpha = "
+                f"{self.alpha} at re = {self.re}"
+            )
 
 
 @dataclass(frozen=True)
@@ -206,7 +229,7 @@ def to_pform(model: TietzHua) -> PForm:
 
     P1 = De, P2 = -2 De (e^{b re} + q), P3 = De (e^{b re} + q)^2, which
     satisfy P2^2 = 4 P1 P3.  The Morse model (eta = 0) maps to q = 0,
-    which the closed-form spectrum rejects.
+    where the closed-form spectrum gives the Morse levels.
     """
     b, q, De = model.b, model.q, model.De
     c = math.exp(b * model.re) + q

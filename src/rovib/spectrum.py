@@ -6,22 +6,23 @@ Closed-form ro-vibrational energies for the effective P-form potential
     U_eff(r) = Pt1 + Pt2/(e^{b r} + q) + Pt3/(e^{b r} + q)^2
 
 obtained by factorizing the radial Hamiltonian with the superpotential
-W(r) = Q1 + Q2/(e^{b r} + q).  With k = hbar^2/(2 mu) and the shorthand
+W(r) = Q1 + Q2/(e^{b r} + q).  With k = hbar^2/(2 mu), n = 1 + 2 nu and
 
-    T = (Pt3 + q Pt2) / (k q^2 b^2),
-    D = 1 + 4 Pt3 / (k q^2 b^2),
-    s = -(1 + 2 nu) + sign(q) sqrt(D),
+    R = sqrt(q^2 + 4 Pt3 / (k b^2)),
+    q s = R - q n,
+    bracket = [4 Pt2 / (k b^2) + 2 n R - q (1 + n^2)] / (4 q s),
 
-the level energy is E = Pt1 - k b^2 (T/s - s/4)^2.  The sign(q) branch
-keeps the ground state normalizable on either side of q = 0; the q -> 0
-(Morse) limit is singular here and is served by morse_vibrational_energy
-instead.
+the level energy is E = Pt1 - k b^2 bracket^2.  The bracket is the
+textbook T/s - s/4, T = (Pt3 + q Pt2) / (k q^2 b^2), multiplied through
+by q: neither of its terms grows like 1/q, so no digits cancel as
+eta -> 0, and at q = 0 E is exactly the Morse level
+De - k b^2 (sqrt(De/k)/b - (nu + 1/2))^2.  Taking R >= 0 keeps the
+ground state normalizable on either side of q = 0.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,29 +38,12 @@ from .potentials import (
 from .rotational import EffectiveCoefficients, badawi_coefficients, effective_coefficients
 from .units import kinetic_factor
 
-_EPS = sys.float_info.epsilon
-
-
-class MorseLimitError(ValueError):
-    """Raised when q = 0, or q so close to 0 that the closed form loses
-    its digits; use morse_vibrational_energy for that limit."""
-
-
-# Largest cancellation error (cm^-1) the closed form may carry.  Near
-# q = 0, T/s and s/4 both grow like 1/q and cancel in the bracket, which
-# leaves about 2 eps sqrt(P1 P3) / |q| = 2 De eps |1 - eta| / |eta| in E.
-# Probes against 60-digit arithmetic found the true error within ~3x of
-# that estimate, so this cut keeps it below the 0.005 cm^-1 band of the
-# reference tables (at De = 2e4 it lies at |eta| ~ 9e-9).
-MORSE_LIMIT_TOL_CM1 = 1.0e-3
-
-
 @dataclass(frozen=True)
 class EnergyLevel:
     nu: int
     J: int
     E: float  # cm^-1, measured from the potential minimum
-    bound: bool  # False past the formula's monotone range or the zero of s
+    bound: bool  # False past the formula's monotone range or the zero of q s
 
 
 @dataclass(frozen=True)
@@ -91,51 +75,29 @@ def _index_error(label: str, value: int) -> ValueError | None:
     return None
 
 
-def _shorthands(pform: PForm, eff: EffectiveCoefficients, mu: float):
-    if pform.q**2 == 0.0:  # q = 0, or so close that q^2 underflows
-        raise MorseLimitError(
-            "q = 0 has no P-form spectrum; use morse_vibrational_energy"
-        )
-    cancellation = 2.0 * _EPS * math.sqrt(abs(pform.P1 * pform.P3)) / abs(pform.q)
-    if cancellation > MORSE_LIMIT_TOL_CM1:
-        raise MorseLimitError(
-            f"q = {pform.q:.3g} is too close to the Morse limit: cancellation "
-            f"error ~{cancellation:.2g} cm^-1 exceeds {MORSE_LIMIT_TOL_CM1} "
-            "cm^-1; use morse_vibrational_energy"
-        )
-    k = kinetic_factor(mu)
-    kq2b2 = k * pform.q**2 * pform.b**2
-    T = (eff.Pt3 + pform.q * eff.Pt2) / kq2b2
-    D = 1.0 + 4.0 * eff.Pt3 / kq2b2
-    return k, T, D
-
-
 def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_errors):
     """Rows and (nu, J, error) failures on the nu x J grid, row-major.
 
     The one closed-form kernel: eff holds Pt1..Pt3 as len(J) arrays (or
-    scalars), so T and D are per J, s and E per cell.  A cell fails with
-    the first of its J error, a bad nu, q = 0, D < 0 and s = 0.
+    scalars), so R is per J, q s and E per cell.  A cell fails with the
+    first of its J error, a bad nu, a negative radicand R^2 and q s = 0.
     """
     nu_errors = [_index_error("nu", nu) for nu in nu_list]
-    try:
-        k, T, D = _shorthands(pform, eff, mu)
-    except MorseLimitError as exc:
-        return [], [(nu, J, e or n or exc) for nu, n in zip(nu_list, nu_errors)
-                    for J, e in zip(J_list, J_errors)]
-    nus = np.asarray(nu_list, dtype=float)[:, None]
-    s = np.copysign(np.sqrt(np.maximum(D, 0.0)), pform.q) - (1.0 + 2.0 * nus)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = T / s - s / 4.0
+    q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
+    R2 = np.atleast_1d(q**2 + 4.0 * eff.Pt3 / kb2)  # per J
+    R = np.sqrt(np.maximum(R2, 0.0))
+    n = 1.0 + 2.0 * np.asarray(nu_list, dtype=float)[:, None]
+    qs = R - q * n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bracket = (4.0 * eff.Pt2 / kb2 + 2.0 * n * R - q * (1.0 + n**2)) / (4.0 * qs)
         # float_power squares with libm pow as float ** 2 does; ** and
         # np.power on arrays round a few cells per 10^4 differently
-        E = eff.Pt1 - k * pform.b**2 * np.float_power(bracket, 2.0)
-    D = np.atleast_1d(D)  # per J; a scalar when eff holds one J
-    failed = (D < 0.0) | (s == 0.0) | np.array([e is not None for e in J_errors])
+        E = eff.Pt1 - kb2 * np.float_power(bracket, 2.0)
+    failed = (R2 < 0.0) | (qs == 0.0) | np.array([e is not None for e in J_errors])
     failed[[e is not None for e in nu_errors]] = True
-    # past the zero of s (eta < 0) bracket turns negative again, at large
-    # negative E; only cells where s keeps the sign of q are bound
-    bound_cells = (bracket < 0.0) & (s * pform.q > 0.0)
+    # past the zero of q s (eta < 0) bracket turns negative again, at
+    # large negative E; only cells with q s > 0 are bound
+    bound_cells = (bracket < 0.0) & (qs > 0.0)
     rows = [
         EnergyLevel(nu, J, E_cell, bound)
         for nu, E_row, bound_row, failed_row in zip(
@@ -147,9 +109,9 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     for i, j in np.argwhere(failed).tolist():
         nu, J = nu_list[i], J_list[j]
         failures.append((nu, J, J_errors[j] or nu_errors[i] or ValueError(
-            f"no real solution: discriminant {D[j]:.6g} < 0 at nu={nu}, J={J}"
-            if D[j] < 0.0
-            else f"degenerate quantum-number shift s = 0 at nu={nu}, J={J}"
+            f"no real solution: discriminant {R2[j]:.6g} < 0 at nu={nu}, J={J}"
+            if R2[j] < 0.0
+            else f"degenerate quantum-number shift q s = 0 at nu={nu}, J={J}"
         )))
     return rows, failures
 
@@ -164,9 +126,9 @@ def _single(table) -> EnergyLevel:
 def energy(pform: PForm, eff: EffectiveCoefficients, nu: int, mu: float) -> EnergyLevel:
     """Closed-form level energy; (b, q) from pform, Pt_i from eff.
 
-    Raises MorseLimitError for q = 0 and ValueError when the
-    discriminant D turns negative (no real solution at this J).  Past
-    the monotone range in nu the value is still returned, flagged
+    Any q works, q = 0 (Morse) included.  Raises ValueError when the
+    radicand R^2 turns negative (no real solution at this J).  Past the
+    monotone range in nu the value is still returned, flagged
     bound=False.
     """
     return _single(_table(pform, eff, [nu], [eff.J], mu, [None]))
@@ -177,21 +139,27 @@ def susy_intermediates(
 ) -> SusyIntermediates:
     """Superpotential coefficients Q1t, Q2t and the exact ground level.
 
-    Q2t is the positive root of Q2t^2 + b q Q2t = Pt3/k; Q1t follows
-    from (q Pt2 + Pt3)/k = 2 q Q1t Q2t + Q2t^2.  Taking the positive
-    root realizes the plus branch for q > 0 and the minus branch for
-    q < 0 without a case split.  E0 = Pt1 - k Q1t^2 coincides with
-    energy(nu=0) identically.
+    Q2t = -b q/2 + S, S = sqrt((b q/2)^2 + Pt3/k), is the positive root
+    of Q2t^2 + b q Q2t = Pt3/k; Q1t follows from (q Pt2 + Pt3)/k =
+    2 q Q1t Q2t + Q2t^2, divided through by q as
+    Q1t = (Pt2/k - b^2 q/2 + b S) / (2 Q2t).  Taking the positive root
+    realizes the plus branch for q > 0 and the minus branch for q < 0
+    without a case split.  E0 = Pt1 - k Q1t^2 coincides with
+    energy(nu=0).  q = 0 raises ValueError: the wavefunction divides by
+    b q.
     """
-    k, _, _ = _shorthands(pform, eff, mu)
+    if pform.q == 0.0:
+        raise ValueError("q = 0 (Morse) has no P-form ground-state wavefunction")
+    k = kinetic_factor(mu)
     bq_half = pform.b * pform.q / 2.0
     radicand = bq_half**2 + eff.Pt3 / k
     if radicand < 0.0:
         raise ValueError(f"no real superpotential: radicand {radicand:.6g} < 0")
-    Q2t = -bq_half + math.sqrt(radicand)
+    S = math.sqrt(radicand)
+    Q2t = -bq_half + S
     if Q2t == 0.0:
         raise ValueError("superpotential degenerates (Q2t = 0)")
-    Q1t = ((pform.q * eff.Pt2 + eff.Pt3) / k - Q2t**2) / (2.0 * pform.q * Q2t)
+    Q1t = (eff.Pt2 / k - pform.b * bq_half + pform.b * S) / (2.0 * Q2t)
     return SusyIntermediates(
         Q1t=Q1t,
         Q2t=Q2t,
@@ -255,15 +223,11 @@ def level(params: SpectroscopicParams, nu: int, J: int) -> EnergyLevel:
 
 def _levels(params: SpectroscopicParams, nu_list, J_list):
     J_errors = [_index_error("J", J) for J in J_list]
-    try:  # once per molecule; an error here fails every cell but bad-J ones
-        derived = derive(params)
-        pform = to_pform(from_params(params))
-        coeffs = badawi_coefficients(derived.u, params.eta)
-        J = np.array([0 if e else J for J, e in zip(J_list, J_errors)], dtype=float)
-        eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
-    except ValueError as exc:
-        return [], [(nu, J, e or exc) for nu in nu_list
-                    for J, e in zip(J_list, J_errors)]
+    derived = derive(params)
+    pform = to_pform(from_params(params))
+    coeffs = badawi_coefficients(derived.u, params.eta)
+    J = np.array([0 if e else J for J, e in zip(J_list, J_errors)], dtype=float)
+    eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
     return _table(pform, eff, nu_list, J_list, params.mu, J_errors)
 
 
@@ -273,8 +237,8 @@ def level_table(
     """Levels for every (nu, J) pair, row-major in nu then J.
 
     One array pass of the closed form covers the grid.  Entries that
-    fail (bad index, negative discriminant, Morse limit) are collected
-    as LevelFailure records instead of aborting the table.
+    fail (bad index, negative radicand) are collected as LevelFailure
+    records instead of aborting the table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")

@@ -234,6 +234,43 @@ def test_non_finite_database_value_is_usage_error(runner, tmp_path, old, new):
     assert "must be finite" in result.stderr
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("1.357795", "400", "alpha"),  # e^{2 alpha re} overflows
+    ("1904.2", "1e200", "we"),  # we^2 overflows
+    ("0.013727", "1e300", "eta"),  # eta e^{2 alpha re} squared overflows
+])
+def test_overflowing_database_value_is_usage_error(runner, tmp_path, old, new, field):
+    # finite but absurd values used to end in an OverflowError traceback
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\n{ZZ_ROW.replace(old, new)}\n")
+    for command in ("levels", "compare", "varshni", "approx-error"):
+        result = runner.invoke(cli, [command, "ZZ", "--db", str(custom)])
+        assert result.exit_code == 2, (command, result.exception)
+        assert result.stdout == ""
+        assert f"ZZ: {field} must" in result.stderr
+
+
+def test_varshni_pole_on_the_stencil_exits_3(runner, tmp_path):
+    # eta just below 1 puts the pole of the potential on the derivative
+    # stencil around re: an error line and exit 3, not a traceback
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\n{ZZ_ROW.replace('0.013727', '0.9999999999999999')}\n")
+    result = runner.invoke(cli, ["varshni", "ZZ", "--db", str(custom)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: radius within 1e-9 A of the potential pole")
+
+
+def test_morse_row_prints_levels(runner, tmp_path):
+    # eta = 0 is the Morse potential; it used to fail every cell (exit 3)
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\n{ZZ_ROW.replace('0.013727', '0')}\n")
+    result = runner.invoke(cli, ["levels", "ZZ", "--J", "0,20", "--db", str(custom)])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert len(result.stdout.splitlines()) == 13
+
+
 def test_index_list_cap_counts_spans_before_expanding():
     assert len(parse_index_list(f"0..{MAX_INDICES - 1}", "--nu")) == MAX_INDICES
     for text in (f"0..{MAX_INDICES}", f"5,0..{MAX_INDICES - 1}",
@@ -369,9 +406,9 @@ def test_no_command_loads_scipy():
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
-        "NO,0,0,947.756848,947.756848,-0.000000\n"
+        "NO,0,0,947.756848,947.756848,0.000000\n"
         "NO,0,5,998.204857,998.204415,0.000442\n"
-        "NO,3,0,6453.240002,6453.240002,0.000000\n"
+        "NO,3,0,6453.240002,6453.240002,-0.000000\n"
         "NO,3,5,6501.894569,6501.876152,0.018418\n"
     )
 

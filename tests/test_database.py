@@ -1,7 +1,9 @@
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rovib.cli import cli
 from rovib.database import (
     ENV_VAR,
     DatabaseError,
@@ -137,15 +139,28 @@ _token = st.one_of(
             min_size=1, max_size=6),
 )
 _row = st.lists(_token, min_size=7, max_size=9).map(" ".join)
+# ROW with up to three numbers replaced by huge or tiny magnitudes
+_magnitude = st.sampled_from([
+    "0", "1e-300", "-1e-300", "1e-7", "1e-6", "20", "400", "1e6", "1e7",
+    "1e30", "1e200", "1e300", "-1e300", "1.7e308",
+])
+_huge_row = st.lists(
+    st.tuples(st.integers(1, 7), _magnitude), min_size=1, max_size=3
+).map(lambda subs: " ".join(
+    dict(subs).get(i, field) for i, field in enumerate(ROW.split())
+))
 _database_text = st.one_of(
     st.text(st.characters(codec="utf-8")),
     st.lists(_row, max_size=4).map(lambda rows: "\n".join([HEADER, *rows])),
+    _huge_row.map(lambda row: f"{HEADER}\n{row}"),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(body=st.one_of(_database_text, st.binary()))
 def test_arbitrary_input_raises_only_database_error(tmp_path_factory, body):
+    # a row either fails to load or runs the closed-form commands without
+    # a traceback (an overflow used to surface only there, as exit 1)
     path = tmp_path_factory.getbasetemp() / "fuzz-db.txt"
     path.write_bytes(body.encode() if isinstance(body, str) else body)
     try:
@@ -153,3 +168,8 @@ def test_arbitrary_input_raises_only_database_error(tmp_path_factory, body):
     except DatabaseError:
         return
     assert db.names
+    for name in db.names:
+        for command in ("levels", "varshni", "approx-error"):
+            # "--": a drawn name may look like an option, e.g. "-1"
+            result = CliRunner().invoke(cli, [command, "--db", str(path), "--", name])
+            assert result.exit_code in (0, 3), (command, result.exception)

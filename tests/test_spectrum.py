@@ -15,9 +15,7 @@ from rovib.potentials import (
 )
 from rovib.rotational import badawi_coefficients, effective_coefficients
 from rovib.spectrum import (
-    MORSE_LIMIT_TOL_CM1,
     EnergyLevel,
-    MorseLimitError,
     SusyIntermediates,
     energy,
     level,
@@ -175,20 +173,32 @@ def test_high_j_has_no_real_solution(db):
         susy_intermediates(pf, eff, p.mu)
 
 
-def test_morse_limit_is_rejected():
+def _morse_level(De, b, mu, nu):
+    """De - k b^2 (sqrt(De/k)/b - (nu + 1/2))^2, the q = 0 closed form."""
+    k = kinetic_factor(mu)
+    return De - k * b**2 * (math.sqrt(De / k) / b - (nu + 0.5)) ** 2
+
+
+def test_morse_limit_is_the_morse_level():
+    # q = 0 exactly: the closed form is the Morse level, to rounding
     pf = PForm(b=2.6, q=0.0, P1=5.0e4, P2=-1.0e5, P3=5.0e4)
     eff = effective_coefficients(
         pf, badawi_coefficients(3.0, 0.5), 0, 7.5, 1.2
     )
-    with pytest.raises(MorseLimitError):
-        energy(pf, eff, 0, 7.5)
-    with pytest.raises(MorseLimitError):
+    for nu in (0, 1, 10, 40):
+        assert energy(pf, eff, nu, 7.5).E == pytest.approx(
+            _morse_level(5.0e4, 2.6, 7.5, nu), abs=1.0e-8
+        )
+    with pytest.raises(ValueError, match="q = 0"):
         susy_intermediates(pf, eff, 7.5)
     morse_params = SpectroscopicParams(
         name="X", De=5.0e4, re=1.2, we=1800.0, mu=7.5, alpha=1.3, eta=0.0
     )
-    with pytest.raises(MorseLimitError):
-        level(morse_params, 0, 0)
+    for nu in (0, 1, 10, 40):
+        assert level(morse_params, nu, 0).E == pytest.approx(
+            _morse_level(5.0e4, 2.6, 7.5, nu), abs=1.0e-8
+        )
+    assert level(morse_params, 0, 20).bound
 
 
 def _near_morse(eta):
@@ -198,23 +208,50 @@ def _near_morse(eta):
 
 
 def test_near_zero_eta_is_the_morse_limit(db):
-    # T/s and s/4 cancel to ~2 De eps/|eta|: at eta = 1e-12 the closed
-    # form gave 522.05 (~6 cm^-1 off), at 1e-15 it gave -1577.8
-    for eta in (1.0e-12, -1.0e-12, 1.0e-15, 1.0e-100):
-        with pytest.raises(MorseLimitError, match="too close to the Morse limit"):
-            level(_near_morse(eta), 0, 0)
-        pf, eff = _pipeline(_near_morse(eta), 0)
-        with pytest.raises(MorseLimitError):
-            susy_intermediates(pf, eff, 5.0)
+    # the textbook bracket T/s - s/4 cancelled to ~2 De eps/|eta|: at
+    # eta = 1e-12 it gave 522.05 (~6 cm^-1 off), at 1e-15 -1577.8; the
+    # q-free bracket has no such cancellation
+    for eta in (0.0, 1.0e-12, -1.0e-12, 1.0e-15, 1.0e-100):
+        for nu in (0, 1, 5, 20):
+            assert level(_near_morse(eta), nu, 0).E == pytest.approx(
+                _morse_level(2.0e4, 2.0, 5.0, nu), abs=1.0e-8
+            )
         rows, failures = level_table(_near_morse(eta), [0, 1], [0, 3])
-        assert rows == [] and len(failures) == 4
-        assert all("too close to the Morse limit" in f.error for f in failures)
-    # a moderate eta and the bundled rows keep their values bit for bit
-    assert repr(level(_near_morse(1.0e-4), 0, 0).E) == "516.0276971868625"
-    assert repr(level(_near_morse(1.0e-4), 3, 7).E) == "3646.0520149436416"
+        assert failures == [] and len(rows) == 4 and all(r.bound for r in rows)
+        if eta != 0.0:
+            pf, eff = _pipeline(_near_morse(eta), 0)
+            assert susy_intermediates(pf, eff, 5.0).E0 == pytest.approx(
+                _morse_level(2.0e4, 2.0, 5.0, 0), abs=1.0e-8
+            )
+    # a moderate eta against the closed form in 60-digit arithmetic; the
+    # T/s - s/4 bracket was 9.7e-9 cm^-1 off at (0, 0)
+    assert level(_near_morse(1.0e-4), 0, 0).E == pytest.approx(
+        float("516.027697177141736868662228952"), abs=1.0e-10
+    )
+    assert level(_near_morse(1.0e-4), 3, 7).E == pytest.approx(
+        float("3646.05201492557894913424087359"), abs=1.0e-10
+    )
     for name in db.names:
         rows, failures = level_table(db.get(name), list(range(40)), [0, 20, 100])
         assert failures == [] and len(rows) == 120
+
+
+def test_level_table_at_eta_zero_is_the_morse_spectrum(db):
+    # eta = 0 and alpha = beta/2 make b = beta; then we = 2 beta sqrt(De k)
+    # and the closed form is the Morse spectrum of (De, we)
+    for name in db.names:
+        p = db.get(name)
+        morse = SpectroscopicParams(
+            name=name, De=p.De, re=p.re, we=p.we, mu=p.mu,
+            alpha=derive(p).beta / 2.0, eta=0.0,
+        )
+        nus = [nu for nu in range(200) if nu < 2.0 * p.De / p.we - 0.5]
+        rows, failures = level_table(morse, nus, [0])
+        assert failures == [] and [row.nu for row in rows] == nus
+        for row in rows:
+            assert row.E == pytest.approx(
+                morse_vibrational_energy(p.De, p.we, row.nu), rel=1.0e-9
+            )
 
 
 def test_morse_energies(db):
@@ -275,31 +312,39 @@ def test_quantum_number_validation(db):
         level(p, 0, -2)
 
 
-# repr of E from the per-level scalar closed form (Python floats, x**2);
-# the array kernel must reproduce them bit for bit
-PINNED_E_REPR = {
-    ("NO", 0, 0): "947.7568475652442",
-    ("O2", 3, 10): "5416.478910882004",
-    ("O2+", 5, 20): "10489.71792820828",
-    ("N2", 9, 0): "20877.560480790853",
-    ("NO", 40, 150): "66547.84709538778",
-    ("NO", 60, 0): "53066.14613173167",
-    ("N2", 100, 200): "47441.70058604357",
-    # cells where squaring with x * x instead of pow changes the last bit
-    ("NO", 1, 80): "13360.364055660022",
-    ("NO", 23, 15): "35579.675105270006",
-    ("NO", 33, 130): "60566.08937322443",
-    ("O2", 6, 64): "14760.50979260097",
-    ("O2+", 7, 102): "28384.877842437723",
-    ("N2", 4, 24): "11410.33969516668",
-    ("N2", 4, 134): "42842.94606055448",
-    ("N2", 5, 71): "21939.592011612818",
+# (repr of E, E from the same closed form in 60-digit mpmath arithmetic
+# on the same double inputs).  The repr pins the array kernel bit for
+# bit; the T/s - s/4 kernel it replaced was up to 7.3e-10 cm^-1 off
+PINNED_E = {
+    ("NO", 0, 0): ("947.7568475654916", "947.756847565487335258607784033"),
+    ("O2", 3, 10): ("5416.478910882026", "5416.47891088203060687687527825"),
+    ("O2+", 5, 20): ("10489.717928208134", "10489.7179282081636806570938193"),
+    ("N2", 9, 0): ("20877.560480790555", "20877.5604807905506084411912964"),
+    ("NO", 40, 150): ("66547.84709538783", "66547.8470953878246859901767951"),
+    ("NO", 60, 0): ("53066.14613173171", "53066.1461317317090276492284743"),
+    ("N2", 100, 200): ("47441.70058604328", "47441.7005860432400160127618653"),
+    # cells where squaring with x * x instead of pow changed the last bit
+    # of the T/s - s/4 kernel; of the q-free kernel only (N2, 4, 134)
+    ("NO", 1, 80): ("13360.364055660611", "13360.3640556606064264560975732"),
+    ("NO", 23, 15): ("35579.67510526927", "35579.6751052692768389356581125"),
+    ("NO", 33, 130): ("60566.08937322453", "60566.0893732245364510807813856"),
+    ("O2", 6, 64): ("14760.509792601071", "14760.509792601087882724873519"),
+    ("O2+", 7, 102): ("28384.87784243792", "28384.8778424379269146845171856"),
+    ("N2", 4, 24): ("11410.339695167131", "11410.3396951671137794674104538"),
+    ("N2", 4, 134): ("42842.94606055448", "42842.94606055448364213846353"),
+    ("N2", 5, 71): ("21939.59201161278", "21939.5920116127256232564597663"),
+    # more cells where x * x instead of pow changes the last bit
+    ("NO", 4, 11): ("8431.017964726707", "8431.01796472674143421461041192"),
+    ("O2", 21, 12): ("26866.071702190653", "26866.071702190656316014601248"),
+    ("O2+", 18, 18): ("29732.575958116024", "29732.5759581160213516257533675"),
 }
 
 
 def test_pinned_energies_are_bit_identical(db):
-    for (name, nu, J), want in PINNED_E_REPR.items():
-        assert repr(level(db.get(name), nu, J).E) == want
+    for (name, nu, J), (want, exact) in PINNED_E.items():
+        E = level(db.get(name), nu, J).E
+        assert repr(E) == want
+        assert abs(E - float(exact)) <= 1.0e-10
         rows, _ = level_table(db.get(name), [nu], [J])
         assert repr(rows[0].E) == want
 
@@ -325,38 +370,28 @@ def test_table_failures_keep_level_messages_and_order(db):
     assert failures[1].error == "nu must be a non-negative integer, got -1"
     assert failures[4].error.startswith("no real solution: discriminant -")
     assert failures[4].error.endswith("< 0 at nu=0, J=1300")
-    # an error of the whole molecule fails every cell whose J is valid
-    morse = SpectroscopicParams(
-        name="X", De=5.0e4, re=1.2, we=1800.0, mu=7.5, alpha=1.3, eta=0.0
-    )
-    rows, failures = level_table(morse, [0, 1], [0, -1])
-    assert rows == []
-    assert [f.error.split(" ")[0] for f in failures] == ["q", "J", "q", "J"]
 
 
 def _scalar_energy(params, nu, J):
     """E and bound from the per-level closed form in plain Python floats,
-    with the operation order of the array kernel; None when D < 0."""
+    with the operation order of the array kernel; None where the cell
+    fails (R^2 < 0 or q s = 0)."""
     pf, eff = _pipeline(params, J)
-    k = kinetic_factor(params.mu)
-    kq2b2 = k * pf.q**2 * pf.b**2
-    T = (eff.Pt3 + pf.q * eff.Pt2) / kq2b2
-    D = 1.0 + 4.0 * eff.Pt3 / kq2b2
-    if D < 0.0:
+    q, kb2 = pf.q, kinetic_factor(params.mu) * pf.b**2
+    R2 = q**2 + 4.0 * eff.Pt3 / kb2
+    n = 1.0 + 2.0 * nu
+    if R2 < 0.0:
         return None
-    s = -(1.0 + 2.0 * nu) + math.copysign(math.sqrt(D), pf.q)
-    bracket = T / s - s / 4.0
+    R = math.sqrt(R2)
+    qs = R - q * n
+    if qs == 0.0:
+        return None
+    bracket = (4.0 * eff.Pt2 / kb2 + 2.0 * n * R - q * (1.0 + n**2)) / (4.0 * qs)
     try:
         square = bracket**2
     except OverflowError:  # float ** raises where IEEE pow gives inf
         square = math.inf
-    return eff.Pt1 - k * pf.b**2 * square, bracket < 0.0
-
-
-def _cancellation_error(params):
-    """2 eps sqrt(P1 P3) / |q|, the closed form's error estimate near q = 0."""
-    pf = to_pform(from_params(params))
-    return 2.0 * 2.0**-52 * math.sqrt(abs(pf.P1 * pf.P3)) / abs(pf.q)
+    return eff.Pt1 - kb2 * square, bracket < 0.0 and qs > 0.0
 
 
 physical_params = st.builds(
@@ -367,7 +402,7 @@ physical_params = st.builds(
     we=st.floats(800.0, 3000.0),
     mu=st.floats(5.0, 12.0),
     alpha=st.floats(0.9, 1.8),
-    eta=st.floats(-0.1, 0.1),
+    eta=st.floats(-0.1, 0.1) | st.sampled_from([0.0, 1.0e-15, -1.0e-12]),
 )
 
 
@@ -399,12 +434,8 @@ def test_table_equals_level_and_scalar_closed_form(params, nu_list, J_list):
     for nu, J, error in want_failures:
         if min(nu, J) < 0:
             assert "must be a non-negative integer" in error
-        elif derive(params).q ** 2 == 0.0:
-            assert "no P-form spectrum" in error
-        elif _cancellation_error(params) > MORSE_LIMIT_TOL_CM1:
-            assert "too close to the Morse limit" in error
         else:
-            assert "no real solution" in error
+            assert "no real solution" in error or "q s = 0" in error
             assert _scalar_energy(params, nu, J) is None
 
 
