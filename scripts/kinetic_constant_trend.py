@@ -5,7 +5,7 @@ the masses they quote (six digits of mu/10^-23 g).  This script sweeps
 candidate values of hbar^2/(2 m_u), recomputes every closed-form table
 entry, and reports the worst residual per candidate.  The working value
 in units.py sits at the flat bottom of this curve; the CODATA-2018
-value does not reproduce three of the entries within 0.005 cm^-1.
+value does not reproduce seven of the entries within 0.005 cm^-1.
 
 Usage: python scripts/kinetic_constant_trend.py
 """
@@ -18,33 +18,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from reference_levels import N2_REFERENCE_COLUMNS, REFERENCE_LEVELS
 
-import rovib.units as units
 from rovib.database import load_database
 from rovib.spectrum import level
+from rovib.units import HBAR2_OVER_2MU, HBAR2_OVER_2MU_CODATA
 
 CANDIDATES = (
     16.857550,
     16.857600,
-    units.CONSTANTS.hbar2_over_2mu_codata,
+    HBAR2_OVER_2MU_CODATA,
     16.857640,
-    units.CONSTANTS.hbar2_over_2mu_unit,
+    HBAR2_OVER_2MU,
     16.857650,
     16.857700,
 )
+LABELS = {HBAR2_OVER_2MU_CODATA: "CODATA-2018", HBAR2_OVER_2MU: "working value"}
 
 
-def worst_residual(db):
+def worst_residual(db, candidate):
+    """Worst |delta| and the count above 0.005 cm^-1 with the kinetic
+    constant set to candidate.  The closed form sees the constant only
+    through hbar^2/(2 mu), so each mu is divided by candidate/working."""
+
+    def params(name):
+        p = db.get(name)
+        return dataclasses.replace(p, mu=p.mu / (candidate / HBAR2_OVER_2MU))
+
     worst = 0.0
     over = 0
     for name, entries in REFERENCE_LEVELS.items():
-        params = db.get(name)
+        p = params(name)
         for (nu, J), (_, reference) in entries.items():
-            delta = abs(level(params, nu, J).E - reference)
+            delta = abs(level(p, nu, J).E - reference)
             worst = max(worst, delta)
             over += delta > 0.005
-    params = db.get("N2")
+    p = params("N2")
     for nu, (_, _, reference, _) in N2_REFERENCE_COLUMNS.items():
-        delta = abs(level(params, nu, 0).E - reference)
+        delta = abs(level(p, nu, 0).E - reference)
         worst = max(worst, delta)
         over += delta > 0.005
     return worst, over
@@ -52,22 +61,11 @@ def worst_residual(db):
 
 def main():
     db = load_database()
-    baseline = units.CONSTANTS
-    labels = {
-        baseline.hbar2_over_2mu_codata: "CODATA-2018",
-        baseline.hbar2_over_2mu_unit: "working value",
-    }
     print(f"{'hbar^2/(2 m_u)':>16} {'worst |delta|':>14} {'entries > 0.005':>16}")
-    try:
-        for candidate in CANDIDATES:
-            units.CONSTANTS = dataclasses.replace(
-                baseline, hbar2_over_2mu_unit=candidate
-            )
-            worst, over = worst_residual(db)
-            label = labels.get(candidate, "")
-            print(f"{candidate:16.8f} {worst:14.5f} {over:>16}  {label}")
-    finally:
-        units.CONSTANTS = baseline
+    for candidate in CANDIDATES:
+        worst, over = worst_residual(db, candidate)
+        label = LABELS.get(candidate, "")
+        print(f"{candidate:16.8f} {worst:14.5f} {over:>16}  {label}")
 
 
 if __name__ == "__main__":

@@ -24,12 +24,10 @@ from .rotational import (
 from .spectrum import (
     EnergyLevel,
     SusyIntermediates,
-    energy,
     level,
     level_table,
     morse_vibrational_energy,
     susy_intermediates,
-    wavefunction,
 )
 
 __version__ = "0.1.0"
@@ -56,11 +54,9 @@ __all__ = [
     "greene_aldrich_approx",
     "EnergyLevel",
     "SusyIntermediates",
-    "energy",
     "level",
     "level_table",
     "morse_vibrational_energy",
     "susy_intermediates",
-    "wavefunction",
     "__version__",
 ]

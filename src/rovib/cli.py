@@ -6,13 +6,14 @@ approx-error's csv) build row dicts and print them through _render: text
 and csv print the table's columns, json dumps the rows whole.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
-database, bad index syntax, a request above MAX_INDICES, MAX_PAIRS or
-MAX_ORACLE_POINTS, --grid-points outside 4..MAX_GRID_POINTS, --points
-outside 2..MAX_SCAN_POINTS), 3 when a requested computation fails; in
-the latter case whatever could be computed is still printed and the
-failures go to stderr.  Warnings (csv rows beyond the bound range) also
-go to stderr and leave the exit code alone.  Identical arguments and
-database give byte-identical output.
+database, bad index syntax, a request above MAX_INDICES, MAX_INDEX,
+MAX_PAIRS or MAX_ORACLE_POINTS, --grid-points outside
+4..MAX_GRID_POINTS, --points outside 2..MAX_SCAN_POINTS), 3 when a
+requested computation fails; in the latter case whatever could be
+computed is still printed and the failures go to stderr.  Warnings
+(csv rows beyond the bound range) also go to stderr and leave the exit
+code alone.  Identical arguments and database give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_COMPUTE = 3
 
 STANDARD_J = "0,1,2,3,4,5,10,15,20"
 MAX_INDICES = 10_000  # indices in one --nu or --J list
+MAX_INDEX = 2**53  # largest --nu or --J index: the largest exact float64 integer
 MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
 # compare --grid-points: largest sinc-DVR basis per J (the oracle uses at
 # most MAX_BASIS); 16384 keeps the budget existing callers pass valid
@@ -64,7 +66,8 @@ MAX_SCAN_POINTS = 100_000  # approx-error --points
 def parse_index_list(text: str, label: str) -> tuple[int, ...]:
     """Parse '0,3,5' or '0..9' (or a mix) into a tuple of indices.
 
-    At most MAX_INDICES indices; a span is counted before it is expanded.
+    At most MAX_INDICES indices, none above MAX_INDEX; a span is counted
+    before it is expanded.
     """
     out: list[int] = []
     for token in text.split(","):
@@ -79,6 +82,8 @@ def parse_index_list(text: str, label: str) -> tuple[int, ...]:
             raise click.BadParameter(
                 f"bad {label} token {token!r}; use e.g. '0,3,5' or '0..9'"
             ) from None
+        if hi > MAX_INDEX:
+            raise click.BadParameter(f"{label} indices must be at most 2**53")
         if len(out) + hi - lo + 1 > MAX_INDICES:
             raise click.BadParameter(f"{label} lists more than {MAX_INDICES} indices")
         out.extend(range(lo, hi + 1))

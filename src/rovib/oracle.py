@@ -66,11 +66,15 @@ def _dvr_levels(
     Box: the well at energy E_top (the highest level's) plus tails where
     the decay integral reaches _TAIL, within r_range.  N starts at
     _SAFETY times the de Broglie limit and doubles while some level
-    moves by more than DVR_TOL_CM1 and 4N fits in n_max."""
+    moves by more than DVR_TOL_CM1 and 4N fits in n_max.  With E_top at
+    or below the scan's minimum of the effective potential there is no
+    well to box: every level reads (nan, nan, 0), nothing is solved."""
     k = kinetic_factor(mu)
     r, dr = np.linspace(*r_range, _SCAN, retstep=True)
     v = _effective(model, mu, J, r)
     well = int(np.argmin(v))
+    if E_top <= v[well]:
+        return {(nu, J): (math.nan, math.nan, 0) for nu in nus}
     decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
     inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
     outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
@@ -184,7 +188,8 @@ def deviation_report(
     """Compare closed-form levels with sinc-DVR eigenvalues (per row the
     2N value, |E_N - E_2N| and 2N).  n_points is the largest basis the
     refinement may build, at most MAX_BASIS; a cell beyond the bound
-    range or not converged within it is a LevelFailure."""
+    range, below the effective potential's minimum or not converged
+    within it is a LevelFailure."""
     if not nu_list or not J_list or n_points < 4:
         raise ValueError("need non-empty nu_list and J_list and n_points >= 4")
     rows_closed, failures = level_table(params, nu_list, J_list)
@@ -201,9 +206,11 @@ def deviation_report(
             rows.append(DeviationRow(row.nu, row.J, row.E, E, row.E - E, err, basis))
         else:
             failures.append(LevelFailure(row.nu, row.J, (
+                "beyond the bound range; no oracle level" if not row.bound else
+                "below the effective potential's minimum; no oracle level"
+                if basis == 0 else
                 f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n_max} "
-                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
-                if row.bound else "beyond the bound range; no oracle level")))
+                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)")))
     by_J: dict[int, float] = {}
     for row in rows:
         by_J[row.J] = max(by_J.get(row.J, 0.0), abs(row.delta))

@@ -255,7 +255,6 @@ class VarshniReport:
     dU_at_re: float
     depth: float
     d2U_at_re: float
-    De: float
     Ke: float
 
 
@@ -278,7 +277,6 @@ def verify_varshni(model: TietzHua, derived: DerivedParams) -> VarshniReport:
         dU_at_re=dU,
         depth=depth,
         d2U_at_re=d2U,
-        De=model.De,
         Ke=derived.Ke,
     )
 

@@ -27,14 +27,11 @@ from .units import kinetic_factor
 
 @dataclass(frozen=True)
 class FactorizationCoefficients:
-    """Coefficients of the rational re^2/r^2 approximation, with the
-    (u, eta) pair they were matched at."""
+    """Coefficients of the rational re^2/r^2 approximation."""
 
     C1: float
     C2: float
     C3: float
-    u: float
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,6 @@ class EffectiveCoefficients:
     Pt2: float
     Pt3: float
     gamma: float  # cm^-1, J(J+1) hbar^2/(2 mu re^2)
-    J: int
 
 
 def badawi_coefficients(u: float, eta: float) -> FactorizationCoefficients:
@@ -64,7 +60,7 @@ def badawi_coefficients(u: float, eta: float) -> FactorizationCoefficients:
     C1 = 1.0 - w**2 * (4.0 * u / one - (3.0 + u))
     C2 = 2.0 * math.exp(u) * one * (3.0 * w - (3.0 + u) * w**2)
     C3 = (math.exp(2.0 * u) / u**2) * one**4 * ((3.0 + u) - 2.0 * u / one)
-    return FactorizationCoefficients(C1=C1, C2=C2, C3=C3, u=u, eta=eta)
+    return FactorizationCoefficients(C1=C1, C2=C2, C3=C3)
 
 
 def centrifugal_strength(J, mu: float, re: float):
@@ -94,7 +90,6 @@ def effective_coefficients(
         Pt2=pform.P2 + gamma * coeffs.C2,
         Pt3=pform.P3 + gamma * coeffs.C3,
         gamma=gamma,
-        J=J,
     )
 
 

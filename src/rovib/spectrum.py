@@ -57,12 +57,6 @@ class SusyIntermediates:
 
 
 @dataclass(frozen=True)
-class WavefunctionSample:
-    r: float  # Angstrom
-    value: float  # unnormalized psi(r)
-
-
-@dataclass(frozen=True)
 class LevelFailure:
     nu: int
     J: int
@@ -116,24 +110,6 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     return rows, failures
 
 
-def _single(table) -> EnergyLevel:
-    rows, failures = table
-    if failures:
-        raise failures[0][2]
-    return rows[0]
-
-
-def energy(pform: PForm, eff: EffectiveCoefficients, nu: int, mu: float) -> EnergyLevel:
-    """Closed-form level energy; (b, q) from pform, Pt_i from eff.
-
-    Any q works, q = 0 (Morse) included.  Raises ValueError when the
-    radicand R^2 turns negative (no real solution at this J).  Past the
-    monotone range in nu the value is still returned, flagged
-    bound=False.
-    """
-    return _single(_table(pform, eff, [nu], [eff.J], mu, [None]))
-
-
 def susy_intermediates(
     pform: PForm, eff: EffectiveCoefficients, mu: float
 ) -> SusyIntermediates:
@@ -144,9 +120,9 @@ def susy_intermediates(
     2 q Q1t Q2t + Q2t^2, divided through by q as
     Q1t = (Pt2/k - b^2 q/2 + b S) / (2 Q2t).  Taking the positive root
     realizes the plus branch for q > 0 and the minus branch for q < 0
-    without a case split.  E0 = Pt1 - k Q1t^2 coincides with
-    energy(nu=0).  q = 0 raises ValueError: the wavefunction divides by
-    b q.
+    without a case split.  E0 = Pt1 - k Q1t^2 coincides with the
+    nu = 0 level.  q = 0 raises ValueError: log_wavefunction divides
+    by b q.
     """
     if pform.q == 0.0:
         raise ValueError("q = 0 (Morse) has no P-form ground-state wavefunction")
@@ -168,25 +144,14 @@ def susy_intermediates(
     )
 
 
-def wavefunction(
-    intermediates: SusyIntermediates, pform: PForm, r: float
-) -> WavefunctionSample:
-    """Unnormalized nodeless ground state at one radius.
-
-    The amplitude may underflow to 0 far from the well, which is
-    harmless for ratio and decay checks.
-    """
-    return WavefunctionSample(
-        r=r, value=math.exp(log_wavefunction(intermediates, pform, r))
-    )
-
-
 def log_wavefunction(
     intermediates: SusyIntermediates, pform: PForm, r: float
 ) -> float:
-    """ln psi(r) = Q1t r - (Q2t / (b q)) ln(1 + q e^{-b r}).
+    """ln psi(r) = Q1t r - (Q2t / (b q)) ln(1 + q e^{-b r}) of the
+    unnormalized nodeless ground state.
 
-    The log-domain form keeps large exponents from overflowing.
+    The log-domain form keeps large exponents from overflowing; psi
+    itself underflows to 0 far from the well.
     """
     if r <= 0.0:
         raise ValueError(f"r must be positive, got {r}")
@@ -218,7 +183,10 @@ def morse_vibrational_energy(De: float, we: float, nu: int) -> float:
 
 def level(params: SpectroscopicParams, nu: int, J: int) -> EnergyLevel:
     """One level: the single cell of level_table, raising its failure."""
-    return _single(_levels(params, [nu], [J]))
+    rows, failures = _levels(params, [nu], [J])
+    if failures:
+        raise failures[0][2]
+    return rows[0]
 
 
 def _levels(params: SpectroscopicParams, nu_list, J_list):

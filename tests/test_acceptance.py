@@ -35,8 +35,8 @@ from rovib.potentials import (
 )
 from rovib.rotational import badawi_coefficients, effective_coefficients
 from rovib.spectrum import (
-    energy,
     level,
+    level_table,
     morse_vibrational_energy,
     susy_intermediates,
 )
@@ -245,14 +245,12 @@ def test_property_suite_is_fast_and_passes(db):
                 2.0 * pform.q * s.Q1t * s.Q2t + s.Q2t**2
                 - (pform.q * eff.Pt2 + eff.Pt3) / k
             ) <= 1.0e-8 * scale
-            assert s.E0 == pytest.approx(energy(pform, eff, 0, params.mu).E,
-                                         rel=1.0e-10)
+            assert s.E0 == pytest.approx(level(params, 0, J).E, rel=1.0e-10)
 
         # monotonicity within the bound range
         for J in (0, 10, 30):
-            eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
-            levels = [energy(pform, eff, nu, params.mu) for nu in range(21)]
-            assert all(lev.bound for lev in levels)
+            levels, failures = level_table(params, list(range(21)), [J])
+            assert failures == [] and all(lev.bound for lev in levels)
             assert all(b.E > a.E for a, b in zip(levels, levels[1:]))
         for nu in (0, 5):
             levels = [level(params, nu, J) for J in range(31)]

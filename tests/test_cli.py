@@ -15,6 +15,7 @@ from rovib import cli as cli_module
 from rovib.cli import (
     MAX_BASIS,
     MAX_GRID_POINTS,
+    MAX_INDEX,
     MAX_INDICES,
     MAX_ORACLE_POINTS,
     MAX_PAIRS,
@@ -27,6 +28,20 @@ from rovib.units import wavenumber_to_roy_ev
 
 HEADER = "name eta mu_1e-23_g alpha_inv_A re_A beta_inv_A De_cm1 we_cm1"
 ZZ_ROW = "ZZ 0.013727 1.249 1.357795 1.151 2.7534 53341.0 1904.2"
+# passes the range check, but its closed form puts nu = 0 below the
+# effective potential's minimum (E = -799 cm^-1 at J = 0, -9.4e21 at J = 10)
+BELOW_WELL_ROW = ("X -1000000.0 0.16308488071050078 6.823521683325615 1e-06 "
+                  "26154.899529762522 0.3170294395385019 0.8036300849865148")
+
+
+def fresh_rovib(args):
+    """Run python args in a fresh interpreter with the package importable."""
+    src = str(Path(rovib.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -279,6 +294,37 @@ def test_index_list_cap_counts_spans_before_expanding():
             parse_index_list(text, "--nu")
 
 
+def test_index_cap_accepts_2_to_the_53():
+    # 2**53 is the largest integer a float64 holds exactly
+    assert parse_index_list(f"0,{MAX_INDEX}", "--nu") == (0, 2**53)
+    for text in (str(MAX_INDEX + 1), f"0..{MAX_INDEX + 1}", "1" + "0" * 400):
+        with pytest.raises(click.BadParameter, match="at most 2"):
+            parse_index_list(text, "--J")
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--J"])
+def test_huge_index_is_a_usage_error(runner, flag):
+    # an index past float range used to end in an OverflowError traceback
+    other = "--J" if flag == "--nu" else "--nu"
+    for command in ("levels", "compare"):
+        result = runner.invoke(cli, [command, "NO", flag, "1" + "0" * 400, other, "0"])
+        assert result.exit_code == 2
+        assert f"{flag} indices must be at most 2**53" in result.stderr
+
+
+def test_compare_below_the_well_exits_3_without_traceback(tmp_path):
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\n{BELOW_WELL_ROW}\n")
+    proc = fresh_rovib([
+        "-W", "error::RuntimeWarning", "-c", "from rovib.cli import main; main()",
+        "compare", "X", "--nu", "0,2", "--J", "0,10", "--grid-points", "64",
+        "--db", str(custom),
+    ])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("below the effective potential's minimum") == 3
+
+
 def test_pair_cap_is_a_usage_error(runner, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a capped request reached the computation")
@@ -392,12 +438,7 @@ scipy_loaded("converge")
 
 def test_no_command_loads_scipy():
     # a fresh interpreter, so that no other test's imports count
-    src = str(Path(rovib.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_INTERPRETER], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
+    proc = fresh_rovib(["-c", FRESH_INTERPRETER])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         "import rovib False", "import rovib.cli False", "levels False",
@@ -467,6 +508,12 @@ def test_help_and_version(runner):
     result = runner.invoke(cli, ["--version"])
     assert result.exit_code == 0
     assert __version__ in result.stdout
+
+
+def test_every_public_name_resolves():
+    assert len(set(rovib.__all__)) == len(rovib.__all__)
+    for name in rovib.__all__:
+        assert getattr(rovib, name) is not None, name
 
 
 def test_version_matches_pyproject():

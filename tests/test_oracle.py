@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rovib.database import load_database
 from rovib.oracle import (
     DVR_TOL_CM1,
     MAX_BASIS,
@@ -109,6 +110,26 @@ def test_deviation_report_collects_closed_form_failures(db):
     report = deviation_report(p, [0], [0, 1300], n_points=2000)
     assert [(r.nu, r.J) for r in report.rows] == [(0, 0)]
     assert [(f.nu, f.J) for f in report.failures] == [(0, 1300)]
+
+
+def test_deviation_report_fails_levels_below_the_well(tmp_path):
+    # a row inside the range check whose closed form puts nu = 0 below the
+    # effective potential's minimum (E = -799 cm^-1 at J = 0, -9.4e21 at
+    # J = 10, both flagged bound): no box fits, so nothing is solved
+    path = tmp_path / "x.txt"
+    path.write_text(
+        "name eta mu_1e-23_g alpha_inv_A re_A beta_inv_A De_cm1 we_cm1\n"
+        "X -1000000.0 0.16308488071050078 6.823521683325615 1e-06 "
+        "26154.899529762522 0.3170294395385019 0.8036300849865148\n"
+    )
+    report = deviation_report(load_database(path).get("X"), [0, 2], [0, 10],
+                              n_points=64)
+    assert report.rows == []
+    below = "below the effective potential's minimum; no oracle level"
+    assert [(f.nu, f.J, f.error) for f in report.failures] == [
+        (0, 0, below), (0, 10, below),
+        (2, 0, "beyond the bound range; no oracle level"), (2, 10, below),
+    ]
 
 
 def test_deviation_report_fails_cells_it_cannot_compare(db):

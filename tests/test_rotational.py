@@ -113,7 +113,6 @@ def test_effective_coefficients_structure(db):
     one = effective_coefficients(pf, co, 1, p.mu, p.re)
     assert one.gamma == pytest.approx(2.0 * kinetic_factor(p.mu) / p.re**2,
                                       rel=1.0e-14)
-    assert one.J == 1
     three = effective_coefficients(pf, co, 3, p.mu, p.re)
     # shifts scale exactly with J(J+1)
     # recovering the shift by subtraction cancels ~5 digits, so the

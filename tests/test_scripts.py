@@ -1,7 +1,9 @@
 """The report scripts under scripts/ run to completion.
 
-Each runs in a fresh interpreter with the package on PYTHONPATH; only the
-exit code is checked, the numbers they print are pinned elsewhere.
+Each runs in a fresh interpreter with the package on PYTHONPATH and
+numpy RuntimeWarnings raised as errors.  The exit code is checked for
+every script; the kinetic-constant sweep's stdout is pinned here, the
+other scripts' numbers are pinned elsewhere.
 """
 
 import os
@@ -15,6 +17,28 @@ import rovib
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the label column is padded with two spaces even where it is empty
+KINETIC_CONSTANT_TREND = [
+    "  hbar^2/(2 m_u)  worst |delta|  entries > 0.005",
+    "     16.85755000        0.05245               67  ",
+    "     16.85760000        0.02376               62  ",
+    "     16.85762919        0.00711                7  CODATA-2018",
+    "     16.85764000        0.00266                0  ",
+    "     16.85764400        0.00151                0  working value",
+    "     16.85765000        0.00492                0  ",
+    "     16.85770000        0.03361               63  ",
+]
+
+
+def run_script(script):
+    src = str(Path(rovib.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(ROOT / "scripts" / script)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
 
 @pytest.mark.parametrize("script", [
     "approximation_error_report.py",
@@ -23,10 +47,11 @@ ROOT = Path(__file__).resolve().parents[1]
     "reproduce_level_tables.py",
 ])
 def test_report_script_exits_0(script):
-    src = str(Path(rovib.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kinetic_constant_trend_output():
+    proc = run_script("kinetic_constant_trend.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == KINETIC_CONSTANT_TREND

@@ -17,13 +17,11 @@ from rovib.rotational import badawi_coefficients, effective_coefficients
 from rovib.spectrum import (
     EnergyLevel,
     SusyIntermediates,
-    energy,
     level,
     level_table,
     log_wavefunction,
     morse_vibrational_energy,
     susy_intermediates,
-    wavefunction,
 )
 from rovib.units import kinetic_factor
 
@@ -59,7 +57,7 @@ def test_ground_state_consistency(db):
         for J in (0, 5, 20):
             pf, eff = _pipeline(p, J)
             s = susy_intermediates(pf, eff, p.mu)
-            assert s.E0 == pytest.approx(energy(pf, eff, 0, p.mu).E, rel=1.0e-10)
+            assert s.E0 == pytest.approx(level(p, 0, J).E, rel=1.0e-10)
 
 
 def test_superpotential_defining_relations(db):
@@ -104,15 +102,15 @@ def test_ground_state_wavefunction_fixtures(db):
     p = db.get("NO")
     pf, eff = _pipeline(p, 0)
     s = susy_intermediates(pf, eff, p.mu)
-    sample = wavefunction(s, pf, p.re)
-    assert sample.r == p.re
-    assert sample.value == pytest.approx(1.1650037309699278e-101, rel=1.0e-6)
+    assert math.exp(log_wavefunction(s, pf, p.re)) == pytest.approx(
+        1.1650037309699278e-101, rel=1.0e-6
+    )
     assert log_wavefunction(s, pf, 20.0 * p.re) == pytest.approx(
         -3519.663883703181, rel=1.0e-9
     )
     # deep inside the repulsive wall the amplitude underflows but the
     # sample stays finite
-    assert math.isfinite(wavefunction(s, pf, 1.0e-4).value)
+    assert math.isfinite(math.exp(log_wavefunction(s, pf, 1.0e-4)))
 
 
 def test_ground_state_decays(db):
@@ -132,21 +130,20 @@ def test_wavefunction_domain():
     dummy = SusyIntermediates(Q1t=-1.0, Q2t=1.0, E0=0.0, branch="minus")
     pf = PForm(b=2.6, q=-20.36, P1=5.0e4, P2=-1.0e5, P3=5.0e4)
     with pytest.raises(ValueError):
-        wavefunction(dummy, pf, 0.0)
+        log_wavefunction(dummy, pf, 0.0)
     with pytest.raises(ValueError):
         log_wavefunction(dummy, pf, -1.0)
     # inside the pole radius the log argument drops below -1
     with pytest.raises(SingularRadiusError):
-        wavefunction(dummy, pf, 0.5)
+        log_wavefunction(dummy, pf, 0.5)
 
 
 def test_energies_increase_in_nu_and_j(db):
     for name in db.names:
         p = db.get(name)
         for J in (0, 10, 30):
-            pf, eff = _pipeline(p, J)
-            levels = [energy(pf, eff, nu, p.mu) for nu in range(21)]
-            assert all(lev.bound for lev in levels)
+            levels, failures = level_table(p, list(range(21)), [J])
+            assert failures == [] and all(lev.bound for lev in levels)
             assert all(b.E > a.E for a, b in zip(levels, levels[1:]))
         for nu in (0, 5):
             levels = [level(p, nu, J) for J in range(31)]
@@ -155,20 +152,21 @@ def test_energies_increase_in_nu_and_j(db):
 
 def test_bound_flag_flips_past_monotone_range(db):
     p = db.get("NO")
-    pf, eff = _pipeline(p, 0)
-    flags = [energy(pf, eff, nu, p.mu).bound for nu in range(80)]
+    levels, failures = level_table(p, list(range(80)), [0])
+    assert failures == []
+    flags = [lev.bound for lev in levels]
     flip = flags.index(False)
     assert flip == 56
     assert all(flags[:flip])
-    # energies never exceed the dissociation plateau
-    assert all(energy(pf, eff, nu, p.mu).E <= eff.Pt1 for nu in range(80))
+    # energies never exceed the dissociation plateau, Pt1 = De at J = 0
+    assert all(lev.E <= p.De for lev in levels)
 
 
 def test_high_j_has_no_real_solution(db):
     p = db.get("NO")
-    pf, eff = _pipeline(p, 1300)
     with pytest.raises(ValueError, match="discriminant"):
-        energy(pf, eff, 0, p.mu)
+        level(p, 0, 1300)
+    pf, eff = _pipeline(p, 1300)
     with pytest.raises(ValueError, match="radicand"):
         susy_intermediates(pf, eff, p.mu)
 
@@ -180,20 +178,15 @@ def _morse_level(De, b, mu, nu):
 
 
 def test_morse_limit_is_the_morse_level():
-    # q = 0 exactly: the closed form is the Morse level, to rounding
-    pf = PForm(b=2.6, q=0.0, P1=5.0e4, P2=-1.0e5, P3=5.0e4)
-    eff = effective_coefficients(
-        pf, badawi_coefficients(3.0, 0.5), 0, 7.5, 1.2
-    )
-    for nu in (0, 1, 10, 40):
-        assert energy(pf, eff, nu, 7.5).E == pytest.approx(
-            _morse_level(5.0e4, 2.6, 7.5, nu), abs=1.0e-8
-        )
-    with pytest.raises(ValueError, match="q = 0"):
-        susy_intermediates(pf, eff, 7.5)
+    # eta = 0 makes q = 0 exactly: the closed form is the Morse level,
+    # to rounding
     morse_params = SpectroscopicParams(
         name="X", De=5.0e4, re=1.2, we=1800.0, mu=7.5, alpha=1.3, eta=0.0
     )
+    pf, eff = _pipeline(morse_params, 0)
+    assert pf.q == 0.0
+    with pytest.raises(ValueError, match="q = 0"):
+        susy_intermediates(pf, eff, 7.5)
     for nu in (0, 1, 10, 40):
         assert level(morse_params, nu, 0).E == pytest.approx(
             _morse_level(5.0e4, 2.6, 7.5, nu), abs=1.0e-8
@@ -280,9 +273,11 @@ def test_morse_bound_spectrum_cap():
 
 
 def test_level_matches_manual_pipeline(db):
+    # the layers called by hand, then the closed form in plain floats
     p = db.get("O2")
-    pf, eff = _pipeline(p, 10)
-    assert level(p, 3, 10) == energy(pf, eff, 3, p.mu)
+    lev = level(p, 3, 10)
+    E, bound = _scalar_energy(p, 3, 10)
+    assert repr(lev.E) == repr(E) and lev.bound == bound
 
 
 def test_level_table_order_and_failures(db):
@@ -305,10 +300,9 @@ def test_level_table_order_and_failures(db):
 
 def test_quantum_number_validation(db):
     p = db.get("NO")
-    pf, eff = _pipeline(p, 0)
-    with pytest.raises(ValueError):
-        energy(pf, eff, -1, p.mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nu must be"):
+        level(p, -1, 0)
+    with pytest.raises(ValueError, match="J must be"):
         level(p, 0, -2)
 
 

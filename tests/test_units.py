@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rovib.units import (
-    CONSTANTS,
+    AMU_IN_GRAMS,
+    EV_PER_WAVENUMBER,
+    HBAR2_OVER_2MU,
+    HBAR2_OVER_2MU_CODATA,
     kinetic_factor,
     mass_grams_to_amu,
     roy_ev_to_wavenumber,
@@ -13,20 +16,21 @@ from rovib.units import (
 
 def test_working_constant_pinned():
     # regression targets depend on this exact value; see units.py
-    assert CONSTANTS.hbar2_over_2mu_unit == 16.857644
+    assert HBAR2_OVER_2MU == 16.857644
+    # CODATA-2018 values, and the reference tables' eV per cm^-1
+    assert HBAR2_OVER_2MU_CODATA == 16.85762919164018
+    assert AMU_IN_GRAMS == 1.66053906660e-24
+    assert EV_PER_WAVENUMBER == 1.23941188e-4
 
 
 def test_working_constant_near_codata():
-    rel = abs(CONSTANTS.hbar2_over_2mu_unit - CONSTANTS.hbar2_over_2mu_codata)
-    rel /= CONSTANTS.hbar2_over_2mu_codata
+    rel = abs(HBAR2_OVER_2MU - HBAR2_OVER_2MU_CODATA) / HBAR2_OVER_2MU_CODATA
     assert rel < 1.0e-6
 
 
 @given(mu=st.floats(min_value=0.1, max_value=500.0))
 def test_kinetic_factor_scaling(mu):
-    assert kinetic_factor(mu) * mu == pytest.approx(
-        CONSTANTS.hbar2_over_2mu_unit, rel=1.0e-12
-    )
+    assert kinetic_factor(mu) * mu == pytest.approx(HBAR2_OVER_2MU, rel=1.0e-12)
 
 
 def test_mass_conversion_spot_values():
