@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .database import ENV_VAR, DatabaseError, UnknownMoleculeError, load_database
+from .database import DatabaseError, UnknownMoleculeError, load_database
 from .oracle import MAX_BASIS, deviation_report
 from .potentials import (
     SingularRadiusError,
@@ -57,8 +57,8 @@ MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
 # compare --grid-points: largest sinc-DVR basis per J (the oracle uses at
 # most MAX_BASIS); 16384 keeps the budget existing callers pass valid
 MAX_GRID_POINTS = 16384
-# compare: len(--J) x --grid-points.  The largest allowed request, 32 J
-# each refined up to MAX_BASIS, took 27 s and 106 MB on a 2-vCPU host
+# compare: len(--J) x min(--grid-points, MAX_BASIS).  The largest allowed
+# request, 32 J each refined to MAX_BASIS, took 27 s and 106 MB on 2 vCPUs
 MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 
@@ -162,7 +162,7 @@ def cli() -> None:
 
 
 _db_option = click.option(
-    "--db", type=click.Path(), default=None, envvar=ENV_VAR,
+    "--db", type=click.Path(), default=None,
     help="Molecule database file (default: bundled table).",
 )
 _format_option = click.option(
@@ -239,10 +239,11 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
         rovib compare O2 --nu 0..40 --J 0 --format json
     """
     nu_list, J_list = parse_grid(nu_spec, j_spec)
-    if len(J_list) * grid_points > MAX_ORACLE_POINTS:
+    basis = len(J_list) * min(grid_points, MAX_BASIS)
+    if basis > MAX_ORACLE_POINTS:
         raise click.UsageError(
-            f"--J x --grid-points asks for {len(J_list) * grid_points} oracle "
-            f"basis functions; the limit is {MAX_ORACLE_POINTS}"
+            f"--J x --grid-points asks for {basis} oracle basis functions; "
+            f"the limit is {MAX_ORACLE_POINTS}"
         )
     report = deviation_report(
         _params(molecule, db), list(nu_list), list(J_list), n_points=grid_points
@@ -263,7 +264,7 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
             *MOLECULE_NU_J, ("E_cm1", ">16.4f", ".6f"),
             ("E_oracle_cm1", ">16.4f", ".6f"), ("delta_cm1", ">12.4f", ".6f"),
         ], [{"molecule": molecule, **row} for row in rows])
-    if fmt == "text":
+    if fmt == "text" and rows:
         text += (
             f"\nmax|delta| = {report.max_abs_delta:.4f} cm^-1, "
             f"mean delta = {report.mean_delta:.4f} cm^-1"

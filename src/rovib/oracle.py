@@ -8,7 +8,7 @@ the exact 1/r^2, one dense eigenproblem per J (dvr_eigenvalues) refined
 N -> 2N until its levels agree to DVR_TOL_CM1.  Its disagreement with
 the closed form measures the rational approximation of the centrifugal
 term.  deviation_report runs it over a closed-form (nu, J) table,
-converge for one level of a TietzHua or of any callable potential.
+converge for one level of a TietzHua.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Union
 
 import numpy as np
 
@@ -24,22 +23,22 @@ from .potentials import TietzHua, evaluate, from_params
 from .spectrum import LevelFailure, level_table
 from .units import kinetic_factor
 
-Potential = Union[TietzHua, Callable[[np.ndarray], np.ndarray]]
-
 DVR_TOL_CM1 = 1.0e-6  # N -> 2N agreement that ends the DVR refinement
 MAX_BASIS = 2048  # largest DVR basis; eigvalsh: 0.6 s, 32 MB on 2 vCPUs, ~N^3
+_R_MIN, _R_MAX = 0.3, 8.0  # the range every box lies in, in units of re
 _TAIL = 18.0  # decay integral past each turning point: amplitude e^-18
 _SAFETY = 2.0  # spacing pi / (_SAFETY p_max), p_max the largest wave number
 _SCAN = 2048  # potential samples over the range that place the box
+_ABOVE_BASIS = ("nu at or above the sinc DVR basis size within {} basis "
+                "functions; no oracle level")
 
 
 class ResolutionError(RuntimeError):
     """Basis budget too small to converge the requested level."""
 
 
-def _effective(model: Potential, mu: float, J: int, r: np.ndarray) -> np.ndarray:
-    u = np.asarray(model(r), dtype=float) if callable(model) else evaluate(model, r)
-    return u + J * (J + 1) * kinetic_factor(mu) / r**2
+def _effective(model: TietzHua, mu: float, J: int, r: np.ndarray) -> np.ndarray:
+    return evaluate(model, r) + J * (J + 1) * kinetic_factor(mu) / r**2
 
 
 def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
@@ -53,28 +52,25 @@ def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def _default_range(model: TietzHua) -> tuple[float, float]:
-    return 0.3 * model.re, 8.0 * model.re
-
-
 def _dvr_levels(
-    model: Potential, mu: float, J: int, nus: list[int], E_top: float,
-    n_max: int, r_range: tuple[float, float],
-) -> dict[tuple[int, int], tuple[float, float, int]]:
-    """{(nu, J): (E_2N, |E_N - E_2N|, 2N)} for the levels nus at one J.
+    model: TietzHua, mu: float, J: int, nus: list[int], E_top: float, n_max: int,
+) -> dict[int, tuple[float, float, int] | str]:
+    """{nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none} for the
+    levels nus at one J.
 
     Box: the well at energy E_top (the highest level's) plus tails where
-    the decay integral reaches _TAIL, within r_range.  N starts at
-    _SAFETY times the de Broglie limit and doubles while some level
-    moves by more than DVR_TOL_CM1 and 4N fits in n_max.  With E_top at
-    or below the scan's minimum of the effective potential there is no
-    well to box: every level reads (nan, nan, 0), nothing is solved."""
+    the decay integral reaches _TAIL, within [_R_MIN re, _R_MAX re].  N
+    starts at _SAFETY times the de Broglie limit and doubles while some
+    level moves by more than DVR_TOL_CM1 and 4N fits in n_max.  With
+    E_top at or below the scan's minimum of the effective potential
+    there is no well to box and nothing is solved; a level at or above
+    the last N has no N -> 2N pair."""
     k = kinetic_factor(mu)
-    r, dr = np.linspace(*r_range, _SCAN, retstep=True)
+    r, dr = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN, retstep=True)
     v = _effective(model, mu, J, r)
     well = int(np.argmin(v))
     if E_top <= v[well]:
-        return {(nu, J): (math.nan, math.nan, 0) for nu in nus}
+        return dict.fromkeys(nus, "below the effective potential's minimum; no oracle level")
     decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
     inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
     outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
@@ -93,9 +89,15 @@ def _dvr_levels(
         coarse, fine = fine, solve(2 * n)
         errors = np.abs(fine - coarse)
         if np.all(errors <= DVR_TOL_CM1) or 4 * n > n_max:
-            return {(nu, J): (float(E), float(err), 2 * n)
-                    for nu, E, err in zip(nus, fine, errors)}
+            break
         n *= 2
+    return {
+        nu: _ABOVE_BASIS.format(n_max) if nu >= n else
+        (E, err, 2 * n) if err <= DVR_TOL_CM1 else
+        f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n_max} "
+        f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
+        for nu, E, err in zip(nus, fine.tolist(), errors.tolist())
+    }
 
 
 @dataclass(frozen=True)
@@ -114,46 +116,33 @@ class ConvergeResult:
 
 
 def converge(
-    model: Potential,
-    J: int,
-    mu: float,
-    nu: int,
-    r_range: tuple[float, float] | None = None,
-    n_points: int = MAX_BASIS,
+    model: TietzHua, J: int, mu: float, nu: int, n_points: int = MAX_BASIS,
 ) -> ConvergeResult:
-    """Level nu at J of a TietzHua or a callable U(r), converged to
-    DVR_TOL_CM1 within n_points (at most MAX_BASIS) basis functions like
-    deviation_report's rows, else ResolutionError.
+    """Level nu at J of a TietzHua, converged to DVR_TOL_CM1 within
+    n_points (at most MAX_BASIS) basis functions like deviation_report's
+    rows, else ResolutionError naming the reason.
 
-    The box lies within r_range, by default [0.3 re, 8 re] for a
-    TietzHua.  Its energy comes from one coarse solve over r_range, one
-    basis function per de Broglie half-wavelength at the lower of the
-    effective potential's two edge values.
+    The box lies within [0.3 re, 8 re].  Its energy comes from one coarse
+    solve over that range, one basis function per de Broglie
+    half-wavelength at the lower of the effective potential's two edge
+    values, so the result does not depend on the closed form.
     """
-    if r_range is None and callable(model):
-        raise ValueError("a callable potential needs an explicit r_range")
     if nu < 0 or J < 0 or n_points < 4:
         raise ValueError(f"need nu >= 0, J >= 0 and n_points >= 4, got "
                          f"{nu}, {J}, {n_points}")
-    r_range = _default_range(model) if r_range is None else r_range
     k, n_max = kinetic_factor(mu), min(n_points, MAX_BASIS)
-    v = _effective(model, mu, J, np.linspace(*r_range, _SCAN))
+    if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
+        raise ResolutionError(_ABOVE_BASIS.format(n_max))
+    lo, hi = _R_MIN * model.re, _R_MAX * model.re
+    v = _effective(model, mu, J, np.linspace(lo, hi, _SCAN))
     p_max = math.sqrt(max(min(v[0], v[-1]) - v.min(), 0.0) / k)
-    width = r_range[1] - r_range[0]
-    n = min(max(math.ceil(p_max * width / math.pi) + 1, nu + 1, 2), n_max)
-    r = np.linspace(*r_range, n)
+    n = min(max(math.ceil(p_max * (hi - lo) / math.pi) + 1, nu + 1, 2), n_max)
+    r = np.linspace(lo, hi, n)
     coarse = dvr_eigenvalues(r, _effective(model, mu, J, r), k)
-    E, err, basis = (
-        _dvr_levels(model, mu, J, [nu], coarse[nu], n_max, r_range)[nu, J]
-        if nu < n else (math.nan, math.nan, n)
-    )
-    if not err <= DVR_TOL_CM1:
-        raise ResolutionError(
-            f"level nu={nu}, J={J} not converged to {DVR_TOL_CM1} cm^-1 within "
-            f"{n_max} basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
-        )
-    return ConvergeResult(nu=nu, J=J, extrapolated=E, difference=err,
-                          n_points_fine=basis)
+    level = _dvr_levels(model, mu, J, [nu], coarse[nu], n_max)[nu]
+    if isinstance(level, str):
+        raise ResolutionError(level)
+    return ConvergeResult(nu, J, *level)
 
 
 @dataclass(frozen=True)
@@ -180,16 +169,12 @@ class DeviationReport:
 
 
 def deviation_report(
-    params,
-    nu_list: list[int],
-    J_list: list[int],
-    n_points: int = MAX_BASIS,
+    params, nu_list: list[int], J_list: list[int], n_points: int = MAX_BASIS,
 ) -> DeviationReport:
     """Compare closed-form levels with sinc-DVR eigenvalues (per row the
     2N value, |E_N - E_2N| and 2N).  n_points is the largest basis the
     refinement may build, at most MAX_BASIS; a cell beyond the bound
-    range, below the effective potential's minimum or not converged
-    within it is a LevelFailure."""
+    range, or one _dvr_levels gives a reason for, is a LevelFailure."""
     if not nu_list or not J_list or n_points < 4:
         raise ValueError("need non-empty nu_list and J_list and n_points >= 4")
     rows_closed, failures = level_table(params, nu_list, J_list)
@@ -197,20 +182,17 @@ def deviation_report(
     oracle = {}
     for J in dict.fromkeys(row.J for row in rows_closed if row.bound):
         cells = [row for row in rows_closed if row.bound and row.J == J]
-        oracle.update(_dvr_levels(model, params.mu, J, [c.nu for c in cells],
-                                  max(c.E for c in cells), n_max, _default_range(model)))
+        oracle[J] = _dvr_levels(model, params.mu, J, [c.nu for c in cells],
+                                max(c.E for c in cells), n_max)
     rows = []
     for row in rows_closed:
-        E, err, basis = oracle.get((row.nu, row.J), (math.nan, math.nan, 0))
-        if err <= DVR_TOL_CM1:
-            rows.append(DeviationRow(row.nu, row.J, row.E, E, row.E - E, err, basis))
+        level = (oracle[row.J][row.nu] if row.bound else
+                 "beyond the bound range; no oracle level")
+        if isinstance(level, str):
+            failures.append(LevelFailure(row.nu, row.J, level))
         else:
-            failures.append(LevelFailure(row.nu, row.J, (
-                "beyond the bound range; no oracle level" if not row.bound else
-                "below the effective potential's minimum; no oracle level"
-                if basis == 0 else
-                f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n_max} "
-                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)")))
+            E, err, basis = level
+            rows.append(DeviationRow(row.nu, row.J, row.E, E, row.E - E, err, basis))
     by_J: dict[int, float] = {}
     for row in rows:
         by_J[row.J] = max(by_J.get(row.J, 0.0), abs(row.delta))

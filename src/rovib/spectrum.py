@@ -63,14 +63,14 @@ class LevelFailure:
     error: str
 
 
-def _index_error(label: str, value: int) -> ValueError | None:
+def _index_error(label: str, value: int) -> str | None:
     if value != int(value) or value < 0:
-        return ValueError(f"{label} must be a non-negative integer, got {value}")
+        return f"{label} must be a non-negative integer, got {value}"
     return None
 
 
 def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_errors):
-    """Rows and (nu, J, error) failures on the nu x J grid, row-major.
+    """Rows and LevelFailures on the nu x J grid, row-major.
 
     The one closed-form kernel: eff holds Pt1..Pt3 as len(J) arrays (or
     scalars), so R is per J, q s and E per cell.  A cell fails with the
@@ -102,7 +102,7 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     failures = []
     for i, j in np.argwhere(failed).tolist():
         nu, J = nu_list[i], J_list[j]
-        failures.append((nu, J, J_errors[j] or nu_errors[i] or ValueError(
+        failures.append(LevelFailure(nu, J, J_errors[j] or nu_errors[i] or (
             f"no real solution: discriminant {R2[j]:.6g} < 0 at nu={nu}, J={J}"
             if R2[j] < 0.0
             else f"degenerate quantum-number shift q s = 0 at nu={nu}, J={J}"
@@ -170,7 +170,7 @@ def morse_vibrational_energy(De: float, we: float, nu: int) -> float:
     no further bound states and ValueError is raised.
     """
     if error := _index_error("nu", nu):
-        raise error
+        raise ValueError(error)
     if De <= 0.0 or we <= 0.0:
         raise ValueError("De and we must be positive")
     x = nu + 0.5
@@ -182,21 +182,12 @@ def morse_vibrational_energy(De: float, we: float, nu: int) -> float:
 
 
 def level(params: SpectroscopicParams, nu: int, J: int) -> EnergyLevel:
-    """One level: the single cell of level_table, raising its failure."""
-    rows, failures = _levels(params, [nu], [J])
+    """One level: the single cell of level_table, raising its failure as
+    ValueError."""
+    rows, failures = level_table(params, [nu], [J])
     if failures:
-        raise failures[0][2]
+        raise ValueError(failures[0].error)
     return rows[0]
-
-
-def _levels(params: SpectroscopicParams, nu_list, J_list):
-    J_errors = [_index_error("J", J) for J in J_list]
-    derived = derive(params)
-    pform = to_pform(from_params(params))
-    coeffs = badawi_coefficients(derived.u, params.eta)
-    J = np.array([0 if e else J for J, e in zip(J_list, J_errors)], dtype=float)
-    eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
-    return _table(pform, eff, nu_list, J_list, params.mu, J_errors)
 
 
 def level_table(
@@ -210,5 +201,10 @@ def level_table(
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")
-    rows, failures = _levels(params, nu_list, J_list)
-    return rows, [LevelFailure(nu, J, str(error)) for nu, J, error in failures]
+    J_errors = [_index_error("J", J) for J in J_list]
+    derived = derive(params)
+    pform = to_pform(from_params(params))
+    coeffs = badawi_coefficients(derived.u, params.eta)
+    J = np.array([0 if e else J for J, e in zip(J_list, J_errors)], dtype=float)
+    eff = effective_coefficients(pform, coeffs, J, params.mu, params.re)
+    return _table(pform, eff, nu_list, J_list, params.mu, J_errors)

@@ -361,7 +361,8 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
 
 
 def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
-    # len(--J) x --grid-points bounds the total oracle work of one compare
+    # len(--J) x min(--grid-points, MAX_BASIS) bounds the total oracle work
+    # of one compare: the oracle builds at most MAX_BASIS per J
     def not_called(*args, **kwargs):
         raise AssertionError("a capped request reached the computation")
 
@@ -371,12 +372,13 @@ def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
         return runner.invoke(cli, ["compare", "NO", "--nu", "0", "--J",
                                    f"0..{n_J - 1}", "--grid-points", str(grid_points)])
 
+    n_J = MAX_ORACLE_POINTS // MAX_BASIS
+    assert n_J * MAX_BASIS == MAX_ORACLE_POINTS
     for grid_points in (MAX_BASIS, MAX_GRID_POINTS):
-        n_J = MAX_ORACLE_POINTS // grid_points
-        assert n_J * grid_points == MAX_ORACLE_POINTS
         result = compare(n_J + 1, grid_points)
         assert result.exit_code == 2
-        assert f"the limit is {MAX_ORACLE_POINTS}" in result.stderr
+        assert (f"asks for {(n_J + 1) * MAX_BASIS} oracle basis functions; "
+                f"the limit is {MAX_ORACLE_POINTS}") in result.stderr
         # the cap itself is accepted and goes on to the computation
         result = compare(n_J, grid_points)
         assert "reached the computation" in str(result.exception)

@@ -53,6 +53,8 @@ CASES = {
     "compare_N2_json": "compare N2 --nu 0,1 --J 0 --grid-points 2000 --format json",
     "compare_partial": "compare NO --nu 0,2000 --J 0",
     "compare_none_json": "compare NO --nu 80 --J 0 --format json",
+    "compare_none_text": "compare NO --nu 80 --J 0",
+    "compare_small_basis": "compare NO --nu 0,30 --J 0 --grid-points 20",
     "levels_unknown_molecule": "levels CO",
     "help": "--help",
     "levels_help": "levels --help",

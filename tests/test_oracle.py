@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from rovib.oracle import (
     ResolutionError,
     converge,
     deviation_report,
+    dvr_eigenvalues,
 )
 from rovib.potentials import SpectroscopicParams, TietzHua, derive, from_params
 from rovib.spectrum import level_table
@@ -27,18 +29,17 @@ def morse_exact(nu):
     return we * x - we**2 * x**2 / (4.0 * MORSE.De)
 
 
-def test_harmonic_oscillator_with_callable_potential():
+def test_dvr_eigenvalues_of_a_harmonic_oscillator():
     mu, Ke, r0 = 7.5, 1.0e5, 2.0
-    we = math.sqrt(2.0 * kinetic_factor(mu) * Ke)
+    k = kinetic_factor(mu)
+    we = math.sqrt(2.0 * k * Ke)
+    r = np.linspace(0.5, 3.5, 100)
+    E = dvr_eigenvalues(r, 0.5 * Ke * (r - r0) ** 2, k)
     for nu in range(4):
-        result = converge(lambda r: 0.5 * Ke * (r - r0) ** 2, 0, mu, nu,
-                          r_range=(0.5, 3.5))
-        assert result.extrapolated == pytest.approx(we * (nu + 0.5), rel=1.0e-4)
+        assert E[nu] == pytest.approx(we * (nu + 0.5), rel=1.0e-4)
 
 
 def test_converge_argument_validation():
-    with pytest.raises(ValueError, match="r_range"):
-        converge(lambda r: (r - 2.0) ** 2, 0, MU, 0)
     for J, nu, n_points in ((-1, 0, 100), (0, -1, 100), (0, 0, 3)):
         with pytest.raises(ValueError, match="need nu >= 0"):
             converge(MORSE, J, MU, nu, n_points=n_points)
@@ -74,6 +75,21 @@ def test_converge_reports_unresolvable_grid(db):
     p = db.get("NO")
     with pytest.raises(ResolutionError, match="not converged"):
         converge(from_params(p), 0, p.mu, 5, n_points=20)
+
+
+def test_a_level_above_the_basis_names_that_cause(db):
+    # NO nu = 30 needs more than 20 basis functions just to exist: both
+    # converge and deviation_report say so instead of printing an
+    # N -> 2N difference of nan
+    p = db.get("NO")
+    above = "nu at or above the sinc DVR basis size within 20 basis functions"
+    with pytest.raises(ResolutionError, match=above) as info:
+        converge(from_params(p), 0, p.mu, 30, n_points=20)
+    assert "nan" not in str(info.value)
+    report = deviation_report(p, [0, 30], [0], n_points=20)
+    assert [(f.nu, f.J) for f in report.failures][-1] == (30, 0)
+    assert above in report.failures[-1].error
+    assert not any("nan" in f.error for f in report.failures)
 
 
 def test_deng_fan_case_stays_close_to_closed_form(db):

@@ -306,6 +306,15 @@ def test_quantum_number_validation(db):
         level(p, 0, -2)
 
 
+@pytest.mark.parametrize("nu, J", [(0, -2), (-1, 0), (0, 1300)])
+def test_level_raises_the_level_table_failure(db, nu, J):
+    p = db.get("NO")
+    (failure,) = level_table(p, [nu], [J])[1]
+    with pytest.raises(ValueError) as info:
+        level(p, nu, J)
+    assert str(info.value) == failure.error
+
+
 # (repr of E, E from the same closed form in 60-digit mpmath arithmetic
 # on the same double inputs).  The repr pins the array kernel bit for
 # bit; the T/s - s/4 kernel it replaced was up to 7.3e-10 cm^-1 off
