@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +40,7 @@ from .potentials import (
 from .rotational import EffectiveCoefficients, badawi_coefficients, effective_coefficients
 from .units import kinetic_factor
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     nu: int
     J: int
     E: float  # cm^-1, measured from the potential minimum
@@ -92,13 +93,12 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     # past the zero of q s (eta < 0) bracket turns negative again, at
     # large negative E; only cells with q s > 0 are bound
     bound_cells = (bracket < 0.0) & (qs > 0.0)
-    rows = [
-        EnergyLevel(nu, J, E_cell, bound)
-        for nu, E_row, bound_row, failed_row in zip(
-            nu_list, E.tolist(), bound_cells.tolist(), failed.tolist())
-        for J, E_cell, bound, bad in zip(J_list, E_row, bound_row, failed_row)
-        if not bad
-    ]
+    # one C-level pass over the flat grid: tuple.__new__ is
+    # EnergyLevel._make without its per-row Python call
+    cells = zip([nu for nu in nu_list for _ in J_list], list(J_list) * len(nu_list),
+                E.ravel().tolist(), bound_cells.ravel().tolist())
+    rows = list(map(tuple.__new__, repeat(EnergyLevel),
+                    compress(cells, (~failed).ravel().tolist())))
     failures = []
     for i, j in np.argwhere(failed).tolist():
         nu, J = nu_list[i], J_list[j]

@@ -39,6 +39,20 @@ def test_dvr_eigenvalues_of_a_harmonic_oscillator():
         assert E[nu] == pytest.approx(we * (nu + 0.5), rel=1.0e-4)
 
 
+@pytest.mark.parametrize("n", [2, 3, 35, 434])
+def test_dvr_eigenvalues_use_the_outer_product_hamiltonian(n):
+    # the Toeplitz layout of the kinetic matrix against the element-wise
+    # Colbert-Miller formula, bit for bit
+    r = np.linspace(0.6, 4.0, n)
+    v = np.random.default_rng(n).normal(scale=1.0e4, size=n)
+    k = kinetic_factor(MU)
+    t = k / ((r[-1] - r[0]) / (n - 1)) ** 2
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    h = 2.0 * (-1.0) ** d / np.maximum(d * d, 1) * t
+    h[np.diag_indices(n)] = math.pi**2 / 3.0 * t + v
+    assert np.array_equal(dvr_eigenvalues(r, v, k), np.linalg.eigvalsh(h))
+
+
 def test_converge_argument_validation():
     for J, nu, n_points in ((-1, 0, 100), (0, -1, 100), (0, 0, 3)):
         with pytest.raises(ValueError, match="need nu >= 0"):
@@ -119,6 +133,16 @@ def test_deviation_report_structure(db):
     assert set(report.max_abs_delta_by_J) == {0, 5}
     with pytest.raises(ValueError):
         deviation_report(p, [], [0])
+
+
+def test_deviation_report_keeps_unsorted_and_repeated_indices_in_order(db):
+    report = deviation_report(db.get("NO"), [3, 0], [5, 0, 5], n_points=2000)
+    assert [(r.nu, r.J) for r in report.rows] == [
+        (3, 5), (3, 0), (3, 5), (0, 5), (0, 0), (0, 5)
+    ]
+    assert report.failures == []
+    assert report.rows[0] == report.rows[2] and report.rows[3] == report.rows[5]
+    assert list(report.max_abs_delta_by_J) == [5, 0]
 
 
 def test_deviation_report_collects_closed_form_failures(db):

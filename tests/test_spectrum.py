@@ -359,7 +359,22 @@ def test_table_rows_hold_plain_python_values(db):
         assert type(row.nu) is int and type(row.J) is int
         assert type(row.E) is float and type(row.bound) is bool
     assert [row.bound for row in rows] == [True, True, False, False]
-    json.dumps([row.__dict__ for row in rows])
+    json.dumps([row._asdict() for row in rows])
+
+
+def test_table_rows_skip_failed_cells_in_row_major_order(db):
+    p = db.get("NO")
+    nu_list, J_list = [0, -1, 3, 0], [0, -2, 5, 1300, 5]
+    rows, failures = level_table(p, nu_list, J_list)
+    assert [(r.nu, r.J) for r in rows] == [
+        (0, 0), (0, 5), (0, 5), (3, 0), (3, 5), (3, 5), (0, 0), (0, 5), (0, 5)
+    ]
+    assert len(rows) + len(failures) == len(nu_list) * len(J_list)
+    for row in rows:
+        assert isinstance(row, EnergyLevel)
+        assert row == level(p, row.nu, row.J)
+    with pytest.raises(AttributeError):
+        rows[0].E = 0.0
 
 
 def test_table_failures_keep_level_messages_and_order(db):
