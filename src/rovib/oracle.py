@@ -54,31 +54,43 @@ def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
+def _scan(model: TietzHua, mu: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """The _SCAN points of [_R_MIN re, _R_MAX re] and the effective
+    potential on them, from which boxes are placed."""
+    r = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN)
+    return r, _effective(model, mu, J, r)
+
+
+def _box(r: np.ndarray, v: np.ndarray, E_top: float, k: float) -> tuple[float, float, int]:
+    """(r_min, r_max, N) for levels up to E_top, above the scan's minimum:
+    the well at E_top plus tails where the decay integral reaches _TAIL,
+    within the scan, and N = _SAFETY times the de Broglie limit."""
+    dr = (r[-1] - r[0]) / (r.size - 1)
+    well = int(np.argmin(v))
+    decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
+    inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
+    outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
+    r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
+    p_max = math.sqrt((E_top - v[well]) / k)
+    return r_min, r_max, math.ceil(_SAFETY * p_max * (r_max - r_min) / math.pi) + 1
+
+
 def _dvr_levels(
     model: TietzHua, mu: float, J: int, nus: list[int], E_top: float, n_max: int,
 ) -> dict[int, tuple[float, float, int] | str]:
     """{nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none} for the
     levels nus at one J.
 
-    Box: the well at energy E_top (the highest level's) plus tails where
-    the decay integral reaches _TAIL, within [_R_MIN re, _R_MAX re].  N
-    starts at _SAFETY times the de Broglie limit and doubles while some
-    level moves by more than DVR_TOL_CM1 and 4N fits in n_max.  With
-    E_top at or below the scan's minimum of the effective potential
-    there is no well to box and nothing is solved; a level at or above
-    the last N has no N -> 2N pair."""
+    Box and first N: _box at E_top (the highest level's).  N doubles
+    while some level moves by more than DVR_TOL_CM1 and 4N fits in
+    n_max.  With E_top at or below the scan's minimum of the effective
+    potential there is no well to box and nothing is solved; a level at
+    or above the last N has no N -> 2N pair."""
     k = kinetic_factor(mu)
-    r, dr = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN, retstep=True)
-    v = _effective(model, mu, J, r)
-    well = int(np.argmin(v))
-    if E_top <= v[well]:
+    r, v = _scan(model, mu, J)
+    if E_top <= v.min():
         return dict.fromkeys(nus, "below the effective potential's minimum; no oracle level")
-    decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
-    inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
-    outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
-    r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
-    p_max = math.sqrt(max(E_top - v[well], 0.0) / k)
-    n = math.ceil(_SAFETY * p_max * (r_max - r_min) / math.pi) + 1
+    r_min, r_max, n = _box(r, v, E_top, k)
     n = min(max(n, 2), n_max // 2)
 
     def solve(n):  # a level at or above N reads nan
@@ -96,7 +108,7 @@ def _dvr_levels(
     return {
         nu: _ABOVE_BASIS.format(n_max) if nu >= n else
         (E, err, 2 * n) if err <= DVR_TOL_CM1 else
-        f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n_max} "
+        f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {2 * n} "
         f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
         for nu, E, err in zip(nus, fine.tolist(), errors.tolist())
     }
@@ -124,10 +136,14 @@ def converge(
     n_points (at most MAX_BASIS) basis functions like deviation_report's
     rows, else ResolutionError naming the reason.
 
-    The box lies within [0.3 re, 8 re].  Its energy comes from one coarse
-    solve over that range, one basis function per de Broglie
-    half-wavelength at the lower of the effective potential's two edge
-    values, so the result does not depend on the closed form.
+    The box energy comes from the model's potential alone, not from the
+    closed form: the WKB phase integral S(E) of sqrt((E - v) / k) dr over
+    the well, where v < E next to the scan's minimum, is pi (nu + 1) half
+    a level above nu.  E stays below the well top, the lower of the
+    highest v on each side of the minimum.  One solve on _box at E gives
+    level nu, whose box _dvr_levels then refines.  A level past the WKB
+    count S(top) / pi - 1/2 by half a level or more fails before any
+    basis is built.
     """
     if nu < 0 or J < 0 or n_points < 4:
         raise ValueError(f"need nu >= 0, J >= 0 and n_points >= 4, got "
@@ -135,13 +151,27 @@ def converge(
     k, n_max = kinetic_factor(mu), min(n_points, MAX_BASIS)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
         raise ResolutionError(_ABOVE_BASIS.format(n_max))
-    lo, hi = _R_MIN * model.re, _R_MAX * model.re
-    v = _effective(model, mu, J, np.linspace(lo, hi, _SCAN))
-    p_max = math.sqrt(max(min(v[0], v[-1]) - v.min(), 0.0) / k)
-    n = min(max(math.ceil(p_max * (hi - lo) / math.pi) + 1, nu + 1, 2), n_max)
-    r = np.linspace(lo, hi, n)
-    coarse = dvr_eigenvalues(r, _effective(model, mu, J, r), k)
-    level = _dvr_levels(model, mu, J, [nu], coarse[nu], n_max)[nu]
+    r, v = _scan(model, mu, J)
+    well = int(np.argmin(v))
+    rim = np.concatenate([np.maximum.accumulate(v[well::-1])[:0:-1],
+                          np.maximum.accumulate(v[well:])])  # max v from the minimum
+    top, dr = min(rim[0], rim[-1]), (r[-1] - r[0]) / (r.size - 1)
+
+    def phase(E):  # S(E) / pi
+        return np.sqrt((E - v[rim < E]) / k).sum() * dr / math.pi
+
+    lo, E, phase_top = v[well], top, phase(top)
+    if phase_top <= nu:
+        raise ResolutionError(f"nu above the well: its WKB count at the top is "
+                              f"{phase_top - 0.5:.2f}; no oracle level")
+    if phase_top > nu + 1:
+        for _ in range(50):  # bisection to 2^-50 of the well's depth
+            mid = 0.5 * (lo + E)
+            lo, E = (mid, E) if phase(mid) < nu + 1 else (lo, mid)
+    r_min, r_max, n = _box(r, v, E, k)
+    x = np.linspace(r_min, r_max, min(max(n, nu + 1), n_max))
+    E_nu = dvr_eigenvalues(x, _effective(model, mu, J, x), k)[nu]
+    level = _dvr_levels(model, mu, J, [nu], E_nu, n_max)[nu]
     if isinstance(level, str):
         raise ResolutionError(level)
     return ConvergeResult(nu, J, *level)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rovib import oracle
 from rovib.database import load_database
 from rovib.oracle import (
     DVR_TOL_CM1,
@@ -21,6 +22,19 @@ from rovib.units import kinetic_factor
 
 MU = 8.0
 MORSE = TietzHua(De=42041.0, re=1.207, b=2.6636, eta=0.0)  # eta = 0: Morse
+
+
+@pytest.fixture
+def bases(monkeypatch):
+    """The size of every sinc-DVR basis the oracle builds, in order."""
+    sizes = []
+
+    def counted(r, v, k):
+        sizes.append(r.size)
+        return dvr_eigenvalues(r, v, k)
+
+    monkeypatch.setattr(oracle, "dvr_eigenvalues", counted)
+    return sizes
 
 
 def morse_exact(nu):
@@ -83,6 +97,51 @@ def test_converge_equals_deviation_report(db, name):
     (row,) = deviation_report(p, [5], [20]).rows
     assert abs(result.extrapolated - row.E_oracle) <= DVR_TOL_CM1
     assert result.difference <= DVR_TOL_CM1
+
+
+@pytest.mark.parametrize("J", [0, 20, 100])
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_converge_equals_deviation_report_over_a_grid(db, name, J):
+    p = db.get(name)
+    model = from_params(p)
+    for nu in (0, 10, 20, 30):
+        (row,) = deviation_report(p, [nu], [J]).rows
+        E = converge(model, J, p.mu, nu).extrapolated
+        assert abs(E - row.E_oracle) <= 2 * DVR_TOL_CM1, (nu, E, row.E_oracle)
+
+
+def test_converge_builds_no_basis_beyond_its_last_pair(db, bases):
+    # the box energy comes from a WKB phase integral over the scan, so no
+    # larger solve (434 basis functions over the whole range, for NO)
+    # precedes the N = 35 -> 70 refinement
+    p = db.get("NO")
+    result = converge(from_params(p), 20, p.mu, 5)
+    assert result.n_points_fine == 70 and max(bases) == 70
+    assert result.extrapolated == pytest.approx(10614.589785694576, abs=1.0e-9)
+
+
+def test_a_level_above_the_well_fails_before_any_basis(db, bases):
+    # NO J = 0 counts 55.92 by WKB at the well's top: nu = 60 lies more
+    # than half a level above it, so nothing is solved
+    p = db.get("NO")
+    with pytest.raises(ResolutionError,
+                       match=r"nu above the well: its WKB count at the top is 55\.92"):
+        converge(from_params(p), 0, p.mu, 60)
+    assert bases == []
+    # N2 J = 20 counts 64.54, so nu = 64 is within half a level and converges
+    p = db.get("N2")
+    result = converge(from_params(p), 20, p.mu, 64)
+    assert result.extrapolated == pytest.approx(79903.879, abs=1.0e-3)
+
+
+def test_not_converged_names_the_largest_basis_built(db, bases):
+    # O2 J = 0 nu = 54 stops at 811 -> 1622, as 3244 exceeds the budget
+    # of 2048: the message names 1622, not the budget
+    p = db.get("O2")
+    with pytest.raises(ResolutionError, match="not converged") as info:
+        converge(from_params(p), 0, p.mu, 54)
+    assert max(bases) == 1622
+    assert f"within {max(bases)} basis functions" in str(info.value)
 
 
 def test_converge_reports_unresolvable_grid(db):
@@ -174,14 +233,15 @@ def test_deviation_report_fails_levels_below_the_well(tmp_path):
 
 def test_deviation_report_fails_cells_it_cannot_compare(db):
     # nu = 80 is beyond NO's bound range; a budget of 100 basis functions
-    # resolves nu = 0 but not nu = 3, and nothing larger is built
+    # resolves nu = 0 but not nu = 3, and nothing larger is built: the
+    # refinement stops at 26 -> 52, as 104 exceeds the budget
     p = db.get("NO")
     report = deviation_report(p, [0, 3, 80], [0], n_points=100)
     assert [(r.nu, r.J) for r in report.rows] == [(0, 0)]
     assert report.rows[0].oracle_err <= DVR_TOL_CM1
     assert report.rows[0].basis <= 100
     assert [(f.nu, f.J) for f in report.failures] == [(3, 0), (80, 0)]
-    assert "not converged to 1e-06 cm^-1 within 100 basis" in report.failures[0].error
+    assert "not converged to 1e-06 cm^-1 within 52 basis" in report.failures[0].error
     assert report.failures[1].error == "beyond the bound range; no oracle level"
 
     report = deviation_report(p, [0, 3, 80], [0], n_points=10**6)
