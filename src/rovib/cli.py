@@ -58,7 +58,7 @@ MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
 # most MAX_BASIS); 16384 keeps the budget existing callers pass valid
 MAX_GRID_POINTS = 16384
 # compare: len(--J) x min(--grid-points, MAX_BASIS).  The largest allowed
-# request, 32 J each refined to MAX_BASIS, took 25 s and 99 MB on 2 vCPUs
+# request, 32 J each refined to MAX_BASIS, took 23 s and 97 MB on 2 vCPUs
 MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 

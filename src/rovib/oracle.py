@@ -4,11 +4,13 @@ oracle.py
 An independent numerical check of the closed-form spectrum: the
 Colbert-Miller sinc discrete variable representation (DVR; J. Chem.
 Phys. 96, 1982 (1992)) of -k R'' + (U(r) + J(J+1) k / r^2) R = E R with
-the exact 1/r^2, one dense eigenproblem per J (dvr_eigenvalues) refined
-N -> 2N until its levels agree to DVR_TOL_CM1.  Its disagreement with
-the closed form measures the rational approximation of the centrifugal
-term.  deviation_report runs it over a closed-form (nu, J) table,
-converge for one level of a TietzHua.
+the exact 1/r^2, one dense eigenproblem per J refined N -> 2N until its
+levels agree to DVR_TOL_CM1.  The J values of a request refine together,
+the problems of one basis size solved as one stacked eigensolve
+(dvr_eigenvalues).  Its disagreement with the closed form measures the
+rational approximation of the centrifugal term.  deviation_report runs
+it over a closed-form (nu, J) table, converge for one level of a
+TietzHua.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _R_MIN, _R_MAX = 0.3, 8.0  # the range every box lies in, in units of re
 _TAIL = 18.0  # decay integral past each turning point: amplitude e^-18
 _SAFETY = 2.0  # spacing pi / (_SAFETY p_max), p_max the largest wave number
 _SCAN = 2048  # potential samples over the range that place the box
+_STACK = 2**18  # matrix elements per stacked eigensolve, unless one matrix has more
 _ABOVE_BASIS = ("nu at or above the sinc DVR basis size within {} basis "
                 "functions; no oracle level")
 
@@ -38,27 +41,34 @@ class ResolutionError(RuntimeError):
     """Basis budget too small to converge the requested level."""
 
 
-def _effective(model: TietzHua, mu: float, J: int, r: np.ndarray) -> np.ndarray:
-    return evaluate(model, r) + J * (J + 1) * kinetic_factor(mu) / r**2
+def _effective(model: TietzHua, r: np.ndarray, c) -> np.ndarray:
+    """V(r) + c / r^2 for c = J(J+1) k: at one J, or with c a column of
+    them at one J per row of r."""
+    return evaluate(model, r) + c / r**2
 
 
 def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     """Ascending eigenvalues of -k d^2/dr^2 + v in the sinc DVR on the
-    uniform points r, one basis function per point."""
-    n = r.size
-    t = k / ((r[-1] - r[0]) / (n - 1)) ** 2
+    uniform points r, one basis function per point: r and v of shape (n,),
+    or (m, n) for m problems solved as one stack."""
+    n = r.shape[-1]
+    # t = k / dr^2 as the scalar expression gives it: a numpy scalar's ** 2
+    # calls pow, as float_power does; an array's ** 2 multiplies, which
+    # differs in the last bit for ~0.1% of spacings
+    t = k / np.float_power((r[..., -1] - r[..., 0]) / (n - 1), 2)
     m = np.arange(n)
-    row = 2.0 * (-1.0) ** m / np.maximum(m * m, 1) * t  # h[i, j] = row[|i - j|]
-    h = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1].copy()
-    h[np.diag_indices(n)] = math.pi**2 / 3.0 * t + v
+    row = 2.0 * (-1.0) ** m / np.maximum(m * m, 1)  # h[i, j] = t row[|i - j|]
+    h = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
+    h = h * t[..., None, None]
+    h[..., m, m] = math.pi**2 / 3.0 * t[..., None] + v
     return np.linalg.eigvalsh(h)
 
 
-def _scan(model: TietzHua, mu: float, J: int) -> tuple[np.ndarray, np.ndarray]:
-    """The _SCAN points of [_R_MIN re, _R_MAX re] and the effective
-    potential on them, from which boxes are placed."""
+def _scan(model: TietzHua) -> tuple[np.ndarray, np.ndarray]:
+    """The _SCAN points of [_R_MIN re, _R_MAX re] and V on them, from
+    which boxes are placed."""
     r = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN)
-    return r, _effective(model, mu, J, r)
+    return r, evaluate(model, r)
 
 
 def _box(r: np.ndarray, v: np.ndarray, E_top: float, k: float) -> tuple[float, float, int]:
@@ -76,42 +86,54 @@ def _box(r: np.ndarray, v: np.ndarray, E_top: float, k: float) -> tuple[float, f
 
 
 def _dvr_levels(
-    model: TietzHua, mu: float, J: int, nus: list[int], E_top: float, n_max: int,
-) -> dict[int, tuple[float, float, int] | str]:
-    """{nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none} for the
-    levels nus at one J.
+    model: TietzHua, mu: float, jobs: dict[int, tuple[list[int], float]],
+    n_max: int, scan: tuple[np.ndarray, np.ndarray],
+) -> dict[int, dict[int, tuple[float, float, int] | str]]:
+    """{J: {nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none}}
+    for jobs {J: (nus, E_top)} and scan = _scan(model).
 
-    Box and first N: _box at E_top (the highest level's).  N doubles
-    while some level moves by more than DVR_TOL_CM1 and 4N fits in
-    n_max.  With E_top at or below the scan's minimum of the effective
+    Per J, box and first N: _box at E_top (the highest level's).  N
+    doubles while some level moves by more than DVR_TOL_CM1 and 4N fits
+    in n_max.  With E_top at or below the scan's minimum of the effective
     potential there is no well to box and nothing is solved; a level at
-    or above the last N has no N -> 2N pair."""
-    k = kinetic_factor(mu)
-    r, v = _scan(model, mu, J)
-    if E_top <= v.min():
-        return dict.fromkeys(nus, "below the effective potential's minimum; no oracle level")
-    r_min, r_max, n = _box(r, v, E_top, k)
-    n = min(max(n, 2), n_max // 2)
-
-    def solve(n):  # a level at or above N reads nan
-        r = np.linspace(r_min, r_max, n)
-        E = dvr_eigenvalues(r, _effective(model, mu, J, r), k)
-        return np.append(E, np.full(max(nus) + 1, np.nan))[nus]
-
-    fine = solve(n)
-    while True:
-        coarse, fine = fine, solve(2 * n)
-        errors = np.abs(fine - coarse)
-        if np.all(errors <= DVR_TOL_CM1) or 4 * n > n_max:
-            break
-        n *= 2
-    return {
-        nu: _ABOVE_BASIS.format(n_max) if nu >= n else
-        (E, err, 2 * n) if err <= DVR_TOL_CM1 else
-        f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {2 * n} "
-        f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
-        for nu, E, err in zip(nus, fine.tolist(), errors.tolist())
-    }
+    or above the last N has no N -> 2N pair.  The J values refine
+    together: each step solves those due at the smallest basis size as
+    one stack of at most max(size^2, _STACK) matrix elements."""
+    k, (r, V) = kinetic_factor(mu), scan
+    c = {J: J * (J + 1) * k for J in jobs}
+    out, box, N, size, fine = {}, {}, {}, {}, {}
+    for J, (nus, E_top) in jobs.items():
+        v = V + c[J] / r**2
+        if E_top <= v.min():
+            out[J] = dict.fromkeys(nus, "below the effective potential's minimum; "
+                                        "no oracle level")
+            continue
+        *box[J], n = _box(r, v, E_top, k)
+        N[J] = size[J] = min(max(n, 2), n_max // 2)
+    while size:  # size[J]: the basis J solves next, N[J] or 2 N[J]
+        n = min(size.values())
+        stack = [J for J in size if size[J] == n][:max(_STACK // n**2, 1)]
+        x = np.linspace(*np.array([box[J] for J in stack]).T, n).T  # a row per J
+        v = _effective(model, x, np.array([c[J] for J in stack])[:, None])
+        for J, E in zip(stack, dvr_eigenvalues(x, v, k)):
+            nus = jobs[J][0]
+            E = np.append(E, np.full(max(nus) + 1, np.nan))[nus]  # nan at or above n
+            if n == N[J]:
+                fine[J], size[J] = E, 2 * n
+                continue
+            errors, fine[J] = np.abs(E - fine[J]), E
+            if not (np.all(errors <= DVR_TOL_CM1) or 4 * N[J] > n_max):
+                N[J], size[J] = n, 2 * n
+                continue
+            del size[J]
+            out[J] = {
+                nu: _ABOVE_BASIS.format(n_max) if nu >= N[J] else
+                (E_nu, err, n) if err <= DVR_TOL_CM1 else
+                f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n} "
+                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
+                for nu, E_nu, err in zip(nus, E.tolist(), errors.tolist())
+            }
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +173,8 @@ def converge(
     k, n_max = kinetic_factor(mu), min(n_points, MAX_BASIS)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
         raise ResolutionError(_ABOVE_BASIS.format(n_max))
-    r, v = _scan(model, mu, J)
+    scan = r, V = _scan(model)
+    v = V + J * (J + 1) * k / r**2
     well = int(np.argmin(v))
     rim = np.concatenate([np.maximum.accumulate(v[well::-1])[:0:-1],
                           np.maximum.accumulate(v[well:])])  # max v from the minimum
@@ -170,8 +193,8 @@ def converge(
             lo, E = (mid, E) if phase(mid) < nu + 1 else (lo, mid)
     r_min, r_max, n = _box(r, v, E, k)
     x = np.linspace(r_min, r_max, min(max(n, nu + 1), n_max))
-    E_nu = dvr_eigenvalues(x, _effective(model, mu, J, x), k)[nu]
-    level = _dvr_levels(model, mu, J, [nu], E_nu, n_max)[nu]
+    E_nu = dvr_eigenvalues(x, _effective(model, x, J * (J + 1) * k), k)[nu]
+    level = _dvr_levels(model, mu, {J: ([nu], E_nu)}, n_max, scan)[J][nu]
     if isinstance(level, str):
         raise ResolutionError(level)
     return ConvergeResult(nu, J, *level)
@@ -215,9 +238,9 @@ def deviation_report(
     for row in rows_closed:
         if row.bound:
             cells_by_J.setdefault(row.J, []).append(row)
-    oracle = {J: _dvr_levels(model, params.mu, J, [c.nu for c in cells],
-                             max(c.E for c in cells), n_max)
-              for J, cells in cells_by_J.items()}
+    jobs = {J: ([c.nu for c in cells], max(c.E for c in cells))
+            for J, cells in cells_by_J.items()}
+    oracle = _dvr_levels(model, params.mu, jobs, n_max, _scan(model))
     rows = []
     for row in rows_closed:
         level = (oracle[row.J][row.nu] if row.bound else

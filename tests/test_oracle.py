@@ -26,15 +26,30 @@ MORSE = TietzHua(De=42041.0, re=1.207, b=2.6636, eta=0.0)  # eta = 0: Morse
 
 @pytest.fixture
 def bases(monkeypatch):
-    """The size of every sinc-DVR basis the oracle builds, in order."""
+    """The size of every sinc-DVR basis the oracle builds, one per matrix
+    of each stack, in order."""
     sizes = []
 
     def counted(r, v, k):
-        sizes.append(r.size)
+        sizes.extend([r.shape[-1]] * (r.size // r.shape[-1]))
         return dvr_eigenvalues(r, v, k)
 
     monkeypatch.setattr(oracle, "dvr_eigenvalues", counted)
     return sizes
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The shape of r, (matrices, basis), in every eigensolve call the
+    oracle makes, in order."""
+    shapes = []
+
+    def counted(r, v, k):
+        shapes.append(r.shape)
+        return dvr_eigenvalues(r, v, k)
+
+    monkeypatch.setattr(oracle, "dvr_eigenvalues", counted)
+    return shapes
 
 
 def morse_exact(nu):
@@ -65,6 +80,19 @@ def test_dvr_eigenvalues_use_the_outer_product_hamiltonian(n):
     h = 2.0 * (-1.0) ** d / np.maximum(d * d, 1) * t
     h[np.diag_indices(n)] = math.pi**2 / 3.0 * t + v
     assert np.array_equal(dvr_eigenvalues(r, v, k), np.linalg.eigvalsh(h))
+
+
+def test_dvr_eigenvalues_solves_a_stack_row_by_row():
+    # a stack of problems of one size gives each row's eigenvalues bit
+    # for bit as the problem solved alone
+    k = kinetic_factor(MU)
+    rng = np.random.default_rng(7)
+    r = np.linspace([0.5, 0.7, 0.9], [2.5, 3.1, 4.0], 40, axis=-1)
+    v = rng.normal(scale=1.0e4, size=r.shape)
+    E = dvr_eigenvalues(r, v, k)
+    assert E.shape == (3, 40)
+    for i in range(3):
+        assert np.array_equal(E[i], dvr_eigenvalues(r[i], v[i], k))
 
 
 def test_converge_argument_validation():
@@ -202,6 +230,48 @@ def test_deviation_report_keeps_unsorted_and_repeated_indices_in_order(db):
     assert report.failures == []
     assert report.rows[0] == report.rows[2] and report.rows[3] == report.rows[5]
     assert list(report.max_abs_delta_by_J) == [5, 0]
+
+
+@pytest.mark.parametrize("n_points", [20, 100, 2048])
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_deviation_report_equals_its_one_J_reports(db, stacks, name, n_points):
+    # the J values of a report are solved together, in stacks of mixed
+    # boxes (bases 124 to 144 at the full budget); every cell equals, bit
+    # for bit, the same cell of a report at that J alone
+    p = db.get(name)
+    nus, Js = [12, 0, 4], [150, 0, 20, 0, 60]
+    report = deviation_report(p, nus, Js, n_points=n_points)
+    assert all(m * n * n <= max(n * n, oracle._STACK) for m, n in stacks)
+    cells = {}
+    for J in set(Js):
+        alone = deviation_report(p, nus, [J], n_points=n_points)
+        cells.update({(c.nu, c.J): c for c in alone.rows + alone.failures})
+    assert len(report.rows) + len(report.failures) == len(nus) * len(Js)
+    for cell in report.rows + report.failures:
+        assert cell == cells[(cell.nu, cell.J)]
+    if n_points == 2048:
+        assert report.failures == [] and len({r.basis for r in report.rows}) > 1
+
+
+REF_GRID = ([0, 3, 5], [0, 1, 2, 3, 4, 5, 10, 15, 20])
+
+
+def test_nine_J_values_make_two_eigensolves(db, stacks):
+    # every J of O2's reference grid refines 35 -> 70: one stack of 9
+    # matrices per basis size
+    report = deviation_report(db.get("O2"), *REF_GRID)
+    assert {row.basis for row in report.rows} == {70}
+    assert stacks == [(9, 35), (9, 70)]
+
+
+def test_a_smaller_stack_cap_changes_only_the_call_count(db, stacks, monkeypatch):
+    p = db.get("O2")
+    report = deviation_report(p, *REF_GRID)
+    assert len(stacks) == 2
+    stacks.clear()
+    monkeypatch.setattr(oracle, "_STACK", 3 * 35**2)  # 3 of 35, 1 of 70
+    assert deviation_report(p, *REF_GRID) == report
+    assert stacks == [(3, 35)] * 3 + [(1, 70)] * 9
 
 
 def test_deviation_report_collects_closed_form_failures(db):
