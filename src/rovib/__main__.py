@@ -1,0 +1,6 @@
+"""``python -m rovib``: the rovib console script."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from itertools import zip_longest
 
 import click
-import numpy as np
 
 from . import __version__
 from .database import DatabaseError, UnknownMoleculeError, load_database
@@ -444,6 +443,8 @@ def approx_error(molecule, points, fmt, db) -> None:
                 "exponential_rel_err": list(exponential),
             }, indent=2)
         else:
+            import numpy as np
+
             r_eq = np.array([params.re])
             at_re_rational = float(centrifugal_approx_error(
                 coeffs, derived.q, derived.u, derived.b, r_eq
@@ -465,3 +466,7 @@ def approx_error(molecule, points, fmt, db) -> None:
 
 def main() -> None:
     cli()
+
+
+if __name__ == "__main__":
+    main()

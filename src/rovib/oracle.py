@@ -10,21 +10,22 @@ the problems of one basis size solved as one stacked eigensolve
 (dvr_eigenvalues).  Its disagreement with the closed form measures the
 rational approximation of the centrifugal term.  deviation_report runs
 it over a closed-form (nu, J) table, converge for one level of a
-TietzHua.
+TietzHua.  numpy is imported by the functions that build arrays, not
+by importing this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING
 
 from .potentials import TietzHua, evaluate, from_params
 from .spectrum import LevelFailure, level_table
 from .units import kinetic_factor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DVR_TOL_CM1 = 1.0e-6  # N -> 2N agreement that ends the DVR refinement
 MAX_BASIS = 2048  # largest DVR basis; a solve: 0.7 s, 65 MB peak, 2 vCPUs, ~N^3
@@ -51,6 +52,9 @@ def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     """Ascending eigenvalues of -k d^2/dr^2 + v in the sinc DVR on the
     uniform points r, one basis function per point: r and v of shape (n,),
     or (m, n) for m problems solved as one stack."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     n = r.shape[-1]
     # t = k / dr^2 as the scalar expression gives it: a numpy scalar's ** 2
     # calls pow, as float_power does; an array's ** 2 multiplies, which
@@ -67,6 +71,8 @@ def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
 def _scan(model: TietzHua) -> tuple[np.ndarray, np.ndarray]:
     """The _SCAN points of [_R_MIN re, _R_MAX re] and V on them, from
     which boxes are placed."""
+    import numpy as np
+
     r = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN)
     return r, evaluate(model, r)
 
@@ -75,6 +81,8 @@ def _box(r: np.ndarray, v: np.ndarray, E_top: float, k: float) -> tuple[float, f
     """(r_min, r_max, N) for levels up to E_top, above the scan's minimum:
     the well at E_top plus tails where the decay integral reaches _TAIL,
     within the scan, and N = _SAFETY times the de Broglie limit."""
+    import numpy as np
+
     dr = (r[-1] - r[0]) / (r.size - 1)
     well = int(np.argmin(v))
     decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
@@ -99,6 +107,8 @@ def _dvr_levels(
     or above the last N has no N -> 2N pair.  The J values refine
     together: each step solves those due at the smallest basis size as
     one stack of at most max(size^2, _STACK) matrix elements."""
+    import numpy as np
+
     k, (r, V) = kinetic_factor(mu), scan
     c = {J: J * (J + 1) * k for J in jobs}
     out, box, N, size, fine = {}, {}, {}, {}, {}
@@ -167,6 +177,8 @@ def converge(
     count S(top) / pi - 1/2 by half a level or more fails before any
     basis is built.
     """
+    import numpy as np
+
     if nu < 0 or J < 0 or n_points < 4:
         raise ValueError(f"need nu >= 0, J >= 0 and n_points >= 4, got "
                          f"{nu}, {J}, {n_points}")
@@ -256,5 +268,5 @@ def deviation_report(
     deltas = [row.delta for row in rows]
     return DeviationReport(
         params.name, rows, failures, max(by_J.values(), default=math.nan),
-        fmean(deltas) if deltas else math.nan, by_J,
+        math.fsum(deltas) / len(deltas) if deltas else math.nan, by_J,
     )

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .units import kinetic_factor
 
 _INV_E = math.exp(-1.0)
@@ -211,6 +209,8 @@ def evaluate(model: TietzHua, r):
     Radii within 1e-9 Angstrom of a pole raise SingularRadiusError; the
     poles exist only for q < 0.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("r must be positive")

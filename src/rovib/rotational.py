@@ -11,18 +11,21 @@ the minimum in the same rational basis as the potential,
 
 with C1..C3 fixed by matching value, slope and curvature at re.  The
 shifted coefficients Pt_i = P_i + gamma C_i then feed the closed-form
-spectrum unchanged.
+spectrum unchanged.  numpy is imported only by the functions that take
+arrays: the coefficients of one J are plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .potentials import PForm
 from .units import kinetic_factor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,8 @@ def badawi_coefficients(u: float, eta: float) -> FactorizationCoefficients:
 
 def centrifugal_strength(J, mu: float, re: float):
     """gamma = J(J+1) hbar^2/(2 mu) / re^2 in cm^-1, for one J or an array."""
-    values = np.asarray(J)
-    if (values < 0).any() or (values % 1).any():
+    bad = (J < 0) | (J % 1 != 0)  # a bool for one J, an array for an array
+    if bad.any() if hasattr(bad, "any") else bad:
         raise ValueError(f"J must be a non-negative integer, got {J}")
     if re <= 0.0:
         raise ValueError(f"re must be positive, got {re}")
@@ -101,6 +104,8 @@ def centrifugal_approx_error(
     Returns (approx - exact)/exact on the given radii; independent of J
     because gamma multiplies both sides.
     """
+    import numpy as np
+
     r = np.asarray(r_grid, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radii must be positive")
@@ -119,6 +124,8 @@ def greene_aldrich_approx(lam: float, r) -> np.ndarray:
     comparator for the second-order matching above, no spectrum is
     derived from it.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("r must be positive")
@@ -129,6 +136,8 @@ def greene_aldrich_approx(lam: float, r) -> np.ndarray:
 
 def greene_aldrich_error(lam: float, r) -> np.ndarray:
     """Relative error of the exponential-basis approximation of 1/r^2."""
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     return (greene_aldrich_approx(lam, r) - 1.0 / r**2) * r**2
 
@@ -138,6 +147,8 @@ def default_r_grid(re: float, n: int = 200, pole: float | None = None) -> np.nda
 
     Points within 1e-6 Angstrom of a pole are dropped.
     """
+    import numpy as np
+
     if re <= 0.0:
         raise ValueError(f"re must be positive, got {re}")
     if n < 2:

@@ -410,42 +410,50 @@ def test_csv_warns_about_rows_beyond_bound_range(runner):
 
 FRESH_INTERPRETER = """
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-def scipy_loaded(step):
-    print(step, "scipy" in sys.modules, file=sys.stderr)
+def loaded(step):
+    print(step, "scipy" in sys.modules, "numpy" in sys.modules, file=sys.stderr)
+
+def run(args):
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            rovib.cli.cli.main(args, standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 2, exc.code
+    loaded(args[0])
 
 import rovib
-scipy_loaded("import rovib")
+loaded("import rovib")
 import rovib.cli
-scipy_loaded("import rovib.cli")
-for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
-             ["approx-error", "NO"]):
-    with redirect_stdout(StringIO()):
-        rovib.cli.cli.main(args, standalone_mode=False)
-    scipy_loaded(args[0])
+loaded("import rovib.cli")
+for args in (["levels", "NO"], ["morse", "NO"], ["--help"], ["levels", "CO"],
+             ["varshni", "NO"], ["approx-error", "NO"]):
+    run(args)
 rovib.cli.cli.main(["compare", "NO", "--nu", "0,3", "--J", "0,5",
                     "--grid-points", "2000", "--format", "csv"],
                    standalone_mode=False)
-scipy_loaded("compare")
+loaded("compare")
 from rovib.database import load_database
 from rovib.oracle import converge
 from rovib.potentials import from_params
 params = load_database().get("NO")
 converge(from_params(params), 20, params.mu, 5)
-scipy_loaded("converge")
+loaded("converge")
 """
 
 
 def test_no_command_loads_scipy():
-    # a fresh interpreter, so that no other test's imports count
+    # a fresh interpreter, so that no other test's imports count; each
+    # line: step, scipy loaded, numpy loaded; levels and morse need no numpy
     proc = fresh_rovib(["-c", FRESH_INTERPRETER])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
-        "import rovib False", "import rovib.cli False", "levels False",
-        "morse False", "varshni False", "approx-error False", "compare False",
-        "converge False",
+        "import rovib False False", "import rovib.cli False False",
+        "levels False False", "morse False False", "--help False False",
+        "levels False False", "varshni False True", "approx-error False True",
+        "compare False True", "converge False True",
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
@@ -454,6 +462,16 @@ def test_no_command_loads_scipy():
         "NO,3,0,6453.240002,6453.240002,-0.000000\n"
         "NO,3,5,6501.894569,6501.876152,0.018418\n"
     )
+
+
+@pytest.mark.parametrize("module", ["rovib", "rovib.cli"])
+def test_python_dash_m_runs_the_console_script(module):
+    args = ["levels", "NO", "--nu", "0..3", "--format", "csv"]
+    script = fresh_rovib(["-c", "from rovib.cli import main; main()", *args])
+    proc = fresh_rovib(["-m", module, *args])
+    assert proc.returncode == script.returncode == 0, proc.stderr
+    assert proc.stdout == script.stdout
+    assert proc.stdout.splitlines()[1] == "NO,0,0,947.756848"
 
 
 def test_compare_fails_per_cell_and_bounds_its_work(runner):

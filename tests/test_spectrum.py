@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rovib import spectrum
 from rovib.potentials import (
     PForm,
     SingularRadiusError,
@@ -15,6 +16,7 @@ from rovib.potentials import (
 )
 from rovib.rotational import badawi_coefficients, effective_coefficients
 from rovib.spectrum import (
+    MAX_SCALAR_CELLS,
     EnergyLevel,
     SusyIntermediates,
     level,
@@ -433,9 +435,14 @@ def _cells(rows):
     params=physical_params,
     nu_list=st.lists(st.integers(-1, 150), min_size=1, max_size=8),
     J_list=st.lists(st.integers(-1, 4000), min_size=1, max_size=8),
+    wide=st.booleans(),
 )
-def test_table_equals_level_and_scalar_closed_form(params, nu_list, J_list):
-    # J up to 4000 runs past D < 0 for every parameter set drawn here
+def test_table_equals_level_and_scalar_closed_form(params, nu_list, J_list, wide):
+    # J up to 4000 runs past D < 0 for every parameter set drawn here.  A
+    # wide grid repeats nu_list past MAX_SCALAR_CELLS, so the table comes
+    # from the array kernel while level() stays on the scalar one
+    if wide:
+        nu_list = nu_list * (MAX_SCALAR_CELLS // (len(nu_list) * len(J_list)) + 1)
     rows, failures = level_table(params, nu_list, J_list)
     want_rows, want_failures = [], []
     for nu in nu_list:
@@ -455,6 +462,66 @@ def test_table_equals_level_and_scalar_closed_form(params, nu_list, J_list):
         else:
             assert "no real solution" in error or "q s = 0" in error
             assert _scalar_energy(params, nu, J) is None
+
+
+def _both_kernels(monkeypatch, params, nu_list, J_list):
+    """level_table's rows and failures as repr, from the scalar kernel and
+    then from the array kernel."""
+    out = []
+    for cutoff in (len(nu_list) * len(J_list), 0):
+        monkeypatch.setattr(spectrum, "MAX_SCALAR_CELLS", cutoff)
+        out.append(tuple(map(repr, level_table(params, nu_list, J_list))))
+    return out
+
+
+def test_kernels_agree_bit_for_bit_on_the_bundled_molecules(db, monkeypatch):
+    # nu past the bound range, J past R^2 < 0 (but for N2), bad indices;
+    # every 7th J of 0..4000 keeps the test near 2 s
+    errors = set()
+    for name in db.names:
+        p = db.get(name)
+        nu_list = list(range(-1, int(2.0 * p.De / p.we) + 11))
+        J_list = [*range(0, 4001, 7), 4000, 1.5]
+        scalar, array = _both_kernels(monkeypatch, p, nu_list, J_list)
+        assert scalar == array
+        rows, failures = level_table(p, nu_list, J_list)
+        assert not all(row.bound for row in rows)
+        errors |= {(name, f.error.split(":")[0].split(" must")[0]) for f in failures}
+    assert errors == {(name, kind) for name in db.names for kind in ("J", "nu")} | {
+        (name, "no real solution") for name in ("NO", "O2", "O2+")}
+
+
+def test_kernels_agree_past_overflow(db, monkeypatch):
+    # N2 at J = 1e140 with n q just short of R: q s is tiny, bracket is
+    # finite at 2.3e154 and its square overflows (float ** raises, pow
+    # gives inf); at nu = 1e160 n^2 itself overflows, at q = 0 to nan
+    nu_list, J_list = [0, int(1.298472335684575e140), 10**160], [0, 10**140]
+    scalar, array = _both_kernels(monkeypatch, db.get("N2"), nu_list, J_list)
+    assert scalar == array
+    assert scalar[0].count("E=-inf") == 3
+    for eta in (0.0, 1.0e-15, -0.05):
+        scalar, array = _both_kernels(monkeypatch, _near_morse(eta),
+                                      [0, 3, 10**160, 2**53], [0, 7, 2**40])
+        assert scalar == array
+
+
+def test_grid_size_picks_the_kernel(db, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]) * len(args[3]))
+        return table(*args)
+
+    table = spectrum._table
+    monkeypatch.setattr(spectrum, "_table", counted)
+    p = db.get("NO")
+    level_table(p, list(range(MAX_SCALAR_CELLS)), [0])
+    level_table(p, [0, 1], list(range(MAX_SCALAR_CELLS // 2)))
+    level(p, 3, 10)
+    assert calls == []
+    level_table(p, list(range(MAX_SCALAR_CELLS + 1)), [0])
+    level_table(p, [0, 1], list(range(MAX_SCALAR_CELLS // 2 + 1)))
+    assert calls == [MAX_SCALAR_CELLS + 1, MAX_SCALAR_CELLS + 2]
 
 
 def _manifold(params, J):
