@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .potentials import TietzHua, evaluate, from_params
-from .spectrum import LevelFailure, level_table
+from .spectrum import LevelFailure, _index_error, level_table
 from .units import kinetic_factor
 
 if TYPE_CHECKING:
@@ -166,7 +166,8 @@ def converge(
 ) -> ConvergeResult:
     """Level nu at J of a TietzHua, converged to DVR_TOL_CM1 within
     n_points (at most MAX_BASIS) basis functions like deviation_report's
-    rows, else ResolutionError naming the reason.
+    rows, else ResolutionError naming the reason.  nu and J are
+    non-negative integers, as level_table takes them (ValueError else).
 
     The box energy comes from the model's potential alone, not from the
     closed form: the WKB phase integral S(E) of sqrt((E - v) / k) dr over
@@ -182,6 +183,9 @@ def converge(
     if nu < 0 or J < 0 or n_points < 4:
         raise ValueError(f"need nu >= 0, J >= 0 and n_points >= 4, got "
                          f"{nu}, {J}, {n_points}")
+    if error := _index_error("nu", nu) or _index_error("J", J):
+        raise ValueError(error)
+    nu, J = int(nu), int(J)
     k, n_max = kinetic_factor(mu), min(n_points, MAX_BASIS)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
         raise ResolutionError(_ABOVE_BASIS.format(n_max))

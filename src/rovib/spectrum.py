@@ -22,12 +22,17 @@ ground state normalizable on either side of q = 0.
 level_table evaluates E in one of two kernels, chosen by grid size: in
 plain floats cell by cell up to MAX_SCALAR_CELLS cells, so that small
 requests never import numpy, and in one numpy pass above.  Both take
-the same operations in the same order and agree to the last bit.
+the same operations in the same order and agree to the last bit.  The
+numpy kernel builds its rows with the cyclic garbage collector paused:
+EnergyLevel rows, a tuple subclass, stay tracked, and a manifold of
+~14,000 of them would otherwise start about 19 collections.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -89,12 +94,34 @@ def _failure_text(nu, J, R2: float) -> str:
     return f"degenerate quantum-number shift q s = 0 at nu={nu}, J={J}"
 
 
+@contextmanager
+def _collector_paused():
+    """Hold off the cyclic garbage collector, then restore its state.
+
+    CPython never untracks tuple subclasses, so every EnergyLevel row
+    stays tracked and a large table would start a collection every 700
+    rows (the default threshold).  Allocations still count while paused:
+    the collection is deferred to the first allocation after, not
+    skipped.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_errors):
     """Rows and LevelFailures on the nu x J grid, row-major: the array kernel.
 
     eff holds Pt1..Pt3 as len(J) arrays, so R is per J, q s and E per
     cell.  A cell fails with the first of its J error, a bad nu, a
-    negative radicand R^2 and q s = 0.
+    negative radicand R^2 and q s = 0.  The grid takes three float
+    arrays (q s, bracket, E), each written in place in the order of the
+    closed form's expression, and four bool masks.  The rows are built
+    with the garbage collector paused (_collector_paused).
     """
     import numpy as np
 
@@ -105,26 +132,36 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     n = 1.0 + 2.0 * np.asarray(nu_list, dtype=float)[:, None]
     qs = R - q * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bracket = (4.0 * eff.Pt2 / kb2 + 2.0 * n * R - q * (1.0 + n**2)) / (4.0 * qs)
+        # bracket = (4 Pt2/kb2 + 2 n R - q (1 + n**2)) / (4 q s)
+        bracket = np.multiply(2.0 * n, R)
+        np.add(4.0 * eff.Pt2 / kb2, bracket, out=bracket)
+        np.subtract(bracket, q * (1.0 + n**2), out=bracket)
+        E = np.multiply(4.0, qs)
+        np.divide(bracket, E, out=bracket)
         # float_power squares with libm pow as float ** 2 does; ** and
         # np.power on arrays round a few cells per 10^4 differently
-        E = eff.Pt1 - kb2 * np.float_power(bracket, 2.0)
-    failed = (R2 < 0.0) | (qs == 0.0) | np.array([e is not None for e in J_errors])
+        np.float_power(bracket, 2.0, out=E)
+        np.multiply(kb2, E, out=E)
+        np.subtract(eff.Pt1, E, out=E)
+    failed = np.equal(qs, 0.0)
+    failed |= (R2 < 0.0) | np.array([e is not None for e in J_errors])
     failed[[e is not None for e in nu_errors]] = True
     # past the zero of q s (eta < 0) bracket turns negative again, at
     # large negative E; only cells with q s > 0 are bound
-    bound_cells = (bracket < 0.0) & (qs > 0.0)
-    # one C-level pass over the flat grid: tuple.__new__ is
-    # EnergyLevel._make without its per-row Python call
-    cells = zip([nu for nu in nu_list for _ in J_list], list(J_list) * len(nu_list),
-                E.ravel().tolist(), bound_cells.ravel().tolist())
-    rows = list(map(tuple.__new__, repeat(EnergyLevel),
-                    compress(cells, (~failed).ravel().tolist())))
-    failures = [
-        LevelFailure(nu_list[i], J_list[j], J_errors[j] or nu_errors[i]
-                     or _failure_text(nu_list[i], J_list[j], R2[j]))
-        for i, j in np.argwhere(failed).tolist()
-    ]
+    bound_cells = np.less(bracket, 0.0)
+    bound_cells &= qs > 0.0
+    with _collector_paused():
+        # one C-level pass over the flat grid: tuple.__new__ is
+        # EnergyLevel._make without its per-row Python call
+        cells = zip([nu for nu in nu_list for _ in J_list], list(J_list) * len(nu_list),
+                    E.ravel().tolist(), bound_cells.ravel().tolist())
+        rows = list(map(tuple.__new__, repeat(EnergyLevel),
+                        compress(cells, (~failed).ravel().tolist())))
+        failures = [
+            LevelFailure(nu_list[i], J_list[j], J_errors[j] or nu_errors[i]
+                         or _failure_text(nu_list[i], J_list[j], R2[j]))
+            for i, j in np.argwhere(failed).tolist()
+        ]
     return rows, failures
 
 

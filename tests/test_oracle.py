@@ -101,6 +101,16 @@ def test_converge_argument_validation():
             converge(MORSE, J, MU, nu, n_points=n_points)
 
 
+def test_converge_rejects_non_integer_indices():
+    # the wording of level_table's failure for the same index
+    for J, nu, error in ((0, 2.5, "nu must be a non-negative integer, got 2.5"),
+                         (1.5, 0, "J must be a non-negative integer, got 1.5")):
+        with pytest.raises(ValueError, match=error):
+            converge(MORSE, J, MU, nu)
+    # an integral float is its integer, as level_table takes it
+    assert converge(MORSE, 2.0, MU, 1.0) == converge(MORSE, 2, MU, 1)
+
+
 def test_morse_eigenvalues_match_analytic():
     for nu in range(10):
         assert abs(converge(MORSE, 0, MU, nu).extrapolated - morse_exact(nu)) <= 0.02

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -522,6 +523,60 @@ def test_grid_size_picks_the_kernel(db, monkeypatch):
     level_table(p, list(range(MAX_SCALAR_CELLS + 1)), [0])
     level_table(p, [0, 1], list(range(MAX_SCALAR_CELLS // 2 + 1)))
     assert calls == [MAX_SCALAR_CELLS + 1, MAX_SCALAR_CELLS + 2]
+
+
+N2_MANIFOLD = list(range(68)), list(range(201))  # nu to the bound count, J 0..200
+
+
+def test_collector_stays_out_of_the_row_build(db):
+    # EnergyLevel rows are a tuple subclass, which CPython never untracks:
+    # unpaused, each N2 manifold (13,668 rows) started up to 19 collections
+    p = db.get("N2")
+    starts, per_call = [], []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    level_table(p, *N2_MANIFOLD)  # imports numpy if no test has yet
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        gc.collect()
+        for _ in range(20):
+            before = len(starts)
+            level_table(p, *N2_MANIFOLD)
+            per_call.append(len(starts) - before)
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert max(per_call) <= 1, per_call
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_table_restores_the_collector_state(db, monkeypatch, enabled):
+    p = db.get("N2")
+    seen = []
+
+    def fail(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("row build failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        rows, failures = level_table(p, *N2_MANIFOLD)
+        assert (len(rows), failures) == (68 * 201, [])
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(spectrum, "compress", fail)
+        with pytest.raises(RuntimeError, match="row build failed"):
+            level_table(p, *N2_MANIFOLD)
+        assert seen == [False]  # paused inside the window
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def _manifold(params, J):
