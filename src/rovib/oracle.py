@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .potentials import TietzHua, evaluate, from_params
+from .potentials import SingularRadiusError, TietzHua, evaluate, from_params
 from .spectrum import LevelFailure, _index_error, level_table
 from .units import kinetic_factor
 
@@ -245,7 +245,8 @@ def deviation_report(
     """Compare closed-form levels with sinc-DVR eigenvalues (per row the
     2N value, |E_N - E_2N| and 2N).  n_points is the largest basis the
     refinement may build, at most MAX_BASIS; a cell beyond the bound
-    range, or one _dvr_levels gives a reason for, is a LevelFailure."""
+    range, one _dvr_levels gives a reason for, or one whose potential
+    samples hit the pole, is a LevelFailure."""
     if not nu_list or not J_list or n_points < 4:
         raise ValueError("need non-empty nu_list and J_list and n_points >= 4")
     rows_closed, failures = level_table(params, nu_list, J_list)
@@ -256,7 +257,11 @@ def deviation_report(
             cells_by_J.setdefault(row.J, []).append(row)
     jobs = {J: ([c.nu for c in cells], max(c.E for c in cells))
             for J, cells in cells_by_J.items()}
-    oracle = _dvr_levels(model, params.mu, jobs, n_max, _scan(model))
+    try:
+        oracle = _dvr_levels(model, params.mu, jobs, n_max, _scan(model))
+    except SingularRadiusError as exc:  # a sample on the pole (eta near 1)
+        oracle = {J: dict.fromkeys(nus, f"{exc}; no oracle level")
+                  for J, (nus, _) in jobs.items()}
     rows = []
     for row in rows_closed:
         level = (oracle[row.J][row.nu] if row.bound else

@@ -8,6 +8,8 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rovib
 from rovib import __version__
@@ -518,6 +520,59 @@ def test_db_flag_and_env(runner, tmp_path):
         env={"ROVIB_DB": "/nonexistent/db.txt"},
     )
     assert result.exit_code == 0
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+# database rows (eta, mu in 1e-23 g, alpha, re, beta, De, we): half near
+# the bundled molecules, half anywhere SpectroscopicParams accepts (each
+# magnitude in [1e-6, 1e6], 2 alpha re at most 50, eta != 1)
+_physical_row = st.tuples(
+    st.floats(-0.1, 0.1), st.floats(0.8, 2.0), st.floats(0.9, 1.8),
+    st.floats(0.9, 1.6), st.floats(1.5, 3.5), st.floats(2.0e4, 1.2e5),
+    st.floats(800.0, 3000.0),
+)
+_wide_row = st.tuples(
+    st.floats(-1.0e6, 1.0e6).filter(lambda eta: eta != 1.0)
+    | st.sampled_from([0.0, 0.9999999999999999, 1.0000000000000002, -1.0e6]),
+    _log_uniform(-5.9, 5.1),  # mu: 1e-23 g, so amu lies in [1e-6, 1e6]
+    _log_uniform(-5.9, 5.9), _log_uniform(-5.9, 5.9), _log_uniform(-5.9, 5.9),
+    _log_uniform(-5.9, 5.9), _log_uniform(-5.9, 5.9),
+).map(lambda row: (*row[:2], min(row[2], 24.9 / row[3]), *row[3:]))
+_COMMANDS = [
+    ["levels", "X", "--nu", "0,3", "--J", "0,20"],
+    ["levels", "X", "--nu", "0..29", "--J", "0..9"],  # past MAX_SCALAR_CELLS
+    ["compare", "X", "--nu", "0,1", "--J", "0,20", "--grid-points", "256"],
+    ["varshni", "X"],
+    ["morse", "X"],
+    ["approx-error", "X", "--points", "20"],
+]
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not json")
+
+
+@settings(max_examples=80, deadline=None)
+@given(row=_physical_row | _wide_row)
+def test_random_databases_exit_cleanly_in_every_format(tmp_path_factory, row):
+    # every command, in every format it offers, on a random molecule:
+    # exit 0, 2 or 3, no exception but SystemExit, and json that parses
+    # as strict json (no NaN or Infinity)
+    custom = tmp_path_factory.mktemp("db") / "custom.txt"
+    custom.write_text(f"{HEADER}\nX {' '.join(map(repr, row))}\n")
+    runner = CliRunner()
+    for args in _COMMANDS:
+        formats = ("text", "json") if args[0] == "varshni" else ("text", "csv", "json")
+        for fmt in formats:
+            result = runner.invoke(cli, [*args, "--format", fmt, "--db", str(custom)])
+            assert result.exit_code in (0, 2, 3), (args, fmt, result.output)
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit), (args, fmt, result.exception)
+            if fmt == "json" and (result.exit_code == 0 or result.stdout):
+                json.loads(result.stdout, parse_constant=_reject)
 
 
 def test_help_and_version(runner):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -330,6 +331,20 @@ def test_deviation_report_fails_cells_it_cannot_compare(db):
         assert row.oracle_err <= DVR_TOL_CM1
         assert row.basis <= MAX_BASIS
         assert abs(row.delta) <= 1.0e-6  # the closed form is exact at J = 0
+
+
+def test_a_pole_on_a_potential_sample_fails_each_cell(db):
+    # eta < 1 puts a pole at re + ln(eta) / b; one on a point of the scan
+    # that places the boxes used to escape as SingularRadiusError
+    p = db.get("NO")
+    scan = np.linspace(oracle._R_MIN * p.re, oracle._R_MAX * p.re, oracle._SCAN)
+    on_pole = dataclasses.replace(p, eta=math.exp(2.0 * p.alpha * (scan[150] - p.re)))
+    assert level_table(on_pole, [0, 1], [0, 5])[0]  # bound closed-form rows
+    report = deviation_report(on_pole, [0, 1], [0, 5], n_points=256)
+    assert report.rows == []
+    assert [(f.nu, f.J) for f in report.failures] == [(0, 0), (0, 5), (1, 0), (1, 5)]
+    assert {f.error for f in report.failures} == {
+        "radius within 1e-9 A of the potential pole at 0.994740645 A; no oracle level"}
 
 
 @settings(max_examples=30, deadline=None)
