@@ -82,7 +82,7 @@ class LevelFailure:
 
 
 def _index_error(label: str, value: int) -> str | None:
-    if value != int(value) or value < 0:
+    if value < 0 or value % 1:  # nan % 1 and inf % 1 are nan
         return f"{label} must be a non-negative integer, got {value}"
     return None
 
@@ -130,8 +130,8 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     R2 = q**2 + 4.0 * eff.Pt3 / kb2  # per J
     R = np.sqrt(np.maximum(R2, 0.0))
     n = 1.0 + 2.0 * np.asarray(nu_list, dtype=float)[:, None]
-    qs = R - q * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        qs = R - q * n  # nan at q = 0 and an infinite nu, which fails
         # bracket = (4 Pt2/kb2 + 2 n R - q (1 + n**2)) / (4 q s)
         bracket = np.multiply(2.0 * n, R)
         np.add(4.0 * eff.Pt2 / kb2, bracket, out=bracket)

@@ -393,6 +393,30 @@ def test_table_failures_keep_level_messages_and_order(db):
     assert failures[4].error.endswith("< 0 at nu=0, J=1300")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_indices_fail_like_any_bad_index(db, bad):
+    # int(nan) and int(inf) used to raise before the index was checked
+    from rovib.oracle import converge
+
+    want = [f"nu must be a non-negative integer, got {bad}",
+            f"J must be a non-negative integer, got {bad}"]
+    for p in (db.get("NO"), _near_morse(0.0)):  # at q = 0, q * inf is nan
+        for n in (2, MAX_SCALAR_CELLS):  # the scalar kernel, then the array one
+            rows, failures = level_table(p, [bad, *range(n)], [0, bad])
+            assert [(row.nu, row.J) for row in rows] == [(i, 0) for i in range(n)]
+            assert {f.error for f in failures} == set(want)
+        model = from_params(p)
+        for call, error in (
+            (lambda: level(p, bad, 0), want[0]),
+            (lambda: level(p, 0, bad), want[1]),
+            (lambda: morse_vibrational_energy(p.De, p.we, bad), want[0]),
+            (lambda: converge(model, 0, p.mu, bad), want[0]),
+            (lambda: converge(model, bad, p.mu, 0), want[1]),
+        ):
+            with pytest.raises(ValueError, match=error):
+                call()
+
+
 def _scalar_energy(params, nu, J):
     """E and bound from the per-level closed form in plain Python floats,
     with the operation order of the array kernel; None where the cell
