@@ -3,17 +3,19 @@ cli.py
 
 Command line front end.  The table commands (levels, morse, compare and
 approx-error's csv) build row dicts and print them through _render: text
-and csv print the table's columns, json dumps the rows whole.
+and csv print the table's columns, json dumps the rows whole.  Every
+other output (compare's summary, approx-error's json, varshni's report)
+is described once, by its json keys, and each format is derived from
+that description.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
 database, bad index syntax, a request above MAX_INDICES, MAX_INDEX,
-MAX_PAIRS or MAX_ORACLE_POINTS, --grid-points outside
-4..MAX_GRID_POINTS, --points outside 2..MAX_SCAN_POINTS), 3 when a
-requested computation fails; in the latter case whatever could be
-computed is still printed and the failures go to stderr.  Warnings
-(csv rows beyond the bound range) also go to stderr and leave the exit
-code alone.  Identical arguments and database give byte-identical
-output.
+MAX_PAIRS or MAX_ORACLE_POINTS, --grid-points outside 4..MAX_BASIS,
+--points outside 2..MAX_SCAN_POINTS), 3 when a requested computation
+fails; in the latter case whatever could be computed is still printed
+and the failures go to stderr.  Warnings (csv rows beyond the bound
+range) also go to stderr and leave the exit code alone.  Identical
+arguments and database give byte-identical output.
 """
 
 from __future__ import annotations
@@ -53,11 +55,8 @@ STANDARD_J = "0,1,2,3,4,5,10,15,20"
 MAX_INDICES = 10_000  # indices in one --nu or --J list
 MAX_INDEX = 2**53  # largest --nu or --J index: the largest exact float64 integer
 MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
-# compare --grid-points: largest sinc-DVR basis per J (the oracle uses at
-# most MAX_BASIS); 16384 keeps the budget existing callers pass valid
-MAX_GRID_POINTS = 16384
-# compare: len(--J) x min(--grid-points, MAX_BASIS).  The largest allowed
-# request, 32 J each refined to MAX_BASIS, took 23 s and 97 MB on 2 vCPUs
+# compare: len(--J) x --grid-points.  The largest allowed request, 32 J
+# each refined to MAX_BASIS, took 23 s and 97 MB on 2 vCPUs
 MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 
@@ -218,10 +217,9 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
               help="Vibrational indices.")
 @click.option("--J", "j_spec", default=STANDARD_J, show_default=True,
               help="Rotational indices.")
-@click.option("--grid-points", type=click.IntRange(4, MAX_GRID_POINTS),
+@click.option("--grid-points", type=click.IntRange(4, MAX_BASIS),
               default=MAX_BASIS, show_default=True,
-              help=f"Largest sinc-DVR basis the oracle may build per J "
-                   f"(at most {MAX_BASIS} are used).")
+              help="Largest sinc-DVR basis the oracle may build per J.")
 @_format_option
 @_db_option
 def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
@@ -238,7 +236,7 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
         rovib compare O2 --nu 0..40 --J 0 --format json
     """
     nu_list, J_list = parse_grid(nu_spec, j_spec)
-    basis = len(J_list) * min(grid_points, MAX_BASIS)
+    basis = len(J_list) * grid_points
     if basis > MAX_ORACLE_POINTS:
         raise click.UsageError(
             f"--J x --grid-points asks for {basis} oracle basis functions; "
@@ -251,23 +249,22 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
              "E_oracle_cm1": row.E_oracle, "delta_cm1": row.delta,
              "oracle_err_cm1": row.oracle_err, "basis": row.basis}
             for row in report.rows]
+    # json key: (text label, value); with no row compared, json has null
+    # and text no summary line
+    summary = {"max_abs_delta_cm1": ("max|delta|", report.max_abs_delta),
+               "mean_delta_cm1": ("mean delta", report.mean_delta)}
     if fmt == "json":
-        text = json.dumps({
-            "molecule": molecule,
-            "rows": rows,
-            "max_abs_delta_cm1": report.max_abs_delta if rows else None,
-            "mean_delta_cm1": report.mean_delta if rows else None,
-        }, indent=2)
+        text = json.dumps({"molecule": molecule, "rows": rows, **{
+            key: value if rows else None for key, (_, value) in summary.items()
+        }}, indent=2)
     else:
         text = _render(fmt, [
             *MOLECULE_NU_J, ("E_cm1", ">16.4f", ".6f"),
             ("E_oracle_cm1", ">16.4f", ".6f"), ("delta_cm1", ">12.4f", ".6f"),
         ], [{"molecule": molecule, **row} for row in rows])
     if fmt == "text" and rows:
-        text += (
-            f"\nmax|delta| = {report.max_abs_delta:.4f} cm^-1, "
-            f"mean delta = {report.mean_delta:.4f} cm^-1"
-        )
+        text += "\n" + ", ".join(f"{label} = {value:.4f} cm^-1"
+                                 for label, value in summary.values())
     _emit(text, [f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures])
 
 
@@ -299,11 +296,12 @@ def varshni(molecule, fmt, db) -> None:
     dU_rel = abs(report.dU_at_re) * params.re / params.De
     depth_rel = abs(report.depth - params.De) / params.De
     d2U_rel = abs(report.d2U_at_re - derived.Ke) / derived.Ke
-    beta_rel = (
-        abs(derived.beta - params.beta_table) / params.beta_table
-        if params.beta_table
-        else None
-    )
+    beta, beta_rel, beta_note = params.beta_table, None, None
+    if beta is not None:
+        beta_rel = abs(derived.beta - beta) / beta
+        agree = "agrees with" if beta_rel < 5.0e-5 else "DIFFERS from"
+        beta_note = (f"{beta:.6f}   derived value {agree} the tabulated one "
+                     f"(rel diff {beta_rel:.2e})")
     alpha, notes = {}, {}
     for variant in ("corrected", "as_published"):
         try:
@@ -321,55 +319,35 @@ def varshni(molecule, fmt, db) -> None:
     else:
         difference = corrected - published
         difference_note = f"{difference:.6e}   (unequal)"
-    failures = []
-    if corrected is None:
-        failures.append(f"error: alpha_w_corrected: {notes['corrected']}")
+    # (json key, value, text after the key or None: json only)
+    entries = [
+        ("molecule", molecule, molecule),
+        ("re_A", report.re, f"{report.re:.6f}"),
+        ("dU_at_re_rel", dU_rel, f"{dU_rel:.3e}   target 0"),
+        ("depth_cm1", report.depth,
+         f"{report.depth:.6f}   target {params.De:.6f} (rel err {depth_rel:.3e})"),
+        ("depth_rel_err", depth_rel, None),
+        ("d2U_at_re_cm1_A2", report.d2U_at_re, f"{report.d2U_at_re:.6f}   harmonic "
+         f"Ke {derived.Ke:.6f} (rel diff {d2U_rel:.3e})"),
+        ("Ke_cm1_A2", derived.Ke, None),
+        ("d2U_rel_err", d2U_rel, None),
+        ("q", derived.q, f"{derived.q:.8f}"),
+        ("pole_radius_A", pole, "none for r > 0" if pole is None else f"{pole:.6f}"),
+        ("beta_derived_inv_A", derived.beta, f"{derived.beta:.6f}"),
+        ("beta_table_inv_A", beta, beta_note),
+        ("beta_rel_diff", beta_rel, None),
+        ("alpha_w_corrected_inv_A", corrected, notes["corrected"]),
+        ("alpha_w_as_published_inv_A", published, notes["as_published"]),
+        ("alpha_w_difference_inv_A", difference, difference_note),
+    ]
     if fmt == "json":
-        text = json.dumps({
-            "molecule": molecule,
-            "re_A": report.re,
-            "dU_at_re_rel": dU_rel,
-            "depth_cm1": report.depth,
-            "depth_rel_err": depth_rel,
-            "d2U_at_re_cm1_A2": report.d2U_at_re,
-            "Ke_cm1_A2": derived.Ke,
-            "d2U_rel_err": d2U_rel,
-            "q": derived.q,
-            "pole_radius_A": pole,
-            "beta_derived_inv_A": derived.beta,
-            "beta_table_inv_A": params.beta_table,
-            "beta_rel_diff": beta_rel,
-            "alpha_w_corrected_inv_A": corrected,
-            "alpha_w_as_published_inv_A": published,
-            "alpha_w_difference_inv_A": difference,
-        }, indent=2)
+        text = json.dumps({key: value for key, value, _ in entries}, indent=2)
     else:
-        pole_note = f"{pole:.6f}" if pole is not None else "none for r > 0"
-        lines = [
-            f"molecule                     {molecule}",
-            f"re_A                         {report.re:.6f}",
-            f"dU_at_re (rel to De/re)      {dU_rel:.3e}   target 0",
-            f"depth_cm1                    {report.depth:.6f}   target {params.De:.6f} "
-            f"(rel err {depth_rel:.3e})",
-            f"d2U_at_re_cm1_A2             {report.d2U_at_re:.6f}   harmonic Ke "
-            f"{derived.Ke:.6f} (rel diff {d2U_rel:.3e})",
-            f"q                            {derived.q:.8f}",
-            f"pole_radius_A                {pole_note}",
-            f"beta_derived_inv_A           {derived.beta:.6f}",
-        ]
-        if params.beta_table is not None:
-            agree = "agrees with" if beta_rel < 5.0e-5 else "DIFFERS from"
-            lines.append(
-                f"beta_table_inv_A             {params.beta_table:.6f}   derived value "
-                f"{agree} the tabulated one (rel diff {beta_rel:.2e})"
-            )
-        lines += [
-            f"alpha_w_corrected_inv_A      {notes['corrected']}",
-            f"alpha_w_as_published_inv_A   {notes['as_published']}",
-            f"alpha_w_difference_inv_A     {difference_note}",
-        ]
-        text = "\n".join(lines)
-    _emit(text, failures)
+        labels = {"dU_at_re_rel": "dU_at_re (rel to De/re)"}
+        text = "\n".join(f"{labels.get(key, key):<29}{note}"
+                         for key, _, note in entries if note is not None)
+    _emit(text, [f"error: alpha_w_corrected: {notes['corrected']}"]
+          if corrected is None else [])
 
 
 @cli.command()
@@ -429,19 +407,17 @@ def approx_error(molecule, points, fmt, db) -> None:
             coeffs, derived.q, derived.u, derived.b, radii
         )
         exponential = greene_aldrich_error(derived.b, radii)
+        # key: (values, csv spec)
+        columns = {"r_A": (radii, ".6f"), "rational_rel_err": (rational, ".6e"),
+                   "exponential_rel_err": (exponential, ".6e")}
         if fmt == "csv":
-            text = _render(fmt, [
-                ("r_A", None, ".6f"), ("rational_rel_err", None, ".6e"),
-                ("exponential_rel_err", None, ".6e"),
-            ], [{"r_A": r, "rational_rel_err": a, "exponential_rel_err": g}
-                for r, a, g in zip(radii, rational, exponential)])
+            text = _render(
+                fmt, [(key, None, spec) for key, (_, spec) in columns.items()],
+                [dict(zip(columns, row))
+                 for row in zip(*(values for values, _ in columns.values()))])
         elif fmt == "json":
-            text = json.dumps({
-                "molecule": molecule,
-                "r_A": list(radii),
-                "rational_rel_err": list(rational),
-                "exponential_rel_err": list(exponential),
-            }, indent=2)
+            text = json.dumps({"molecule": molecule, **{
+                key: list(values) for key, (values, _) in columns.items()}}, indent=2)
         else:
             import numpy as np
 

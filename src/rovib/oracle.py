@@ -259,7 +259,7 @@ def deviation_report(
             for J, cells in cells_by_J.items()}
     try:
         oracle = _dvr_levels(model, params.mu, jobs, n_max, _scan(model))
-    except SingularRadiusError as exc:  # a sample on the pole (eta near 1)
+    except SingularRadiusError as exc:  # a sample on the pole (0 < eta < 1)
         oracle = {J: dict.fromkeys(nus, f"{exc}; no oracle level")
                   for J, (nus, _) in jobs.items()}
     rows = []

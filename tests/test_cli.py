@@ -16,7 +16,6 @@ from rovib import __version__
 from rovib import cli as cli_module
 from rovib.cli import (
     MAX_BASIS,
-    MAX_GRID_POINTS,
     MAX_INDEX,
     MAX_INDICES,
     MAX_ORACLE_POINTS,
@@ -162,7 +161,7 @@ def test_partial_failure_keeps_output_and_exits_3(runner):
 def test_compare_ground_state(runner):
     result = runner.invoke(
         cli,
-        ["compare", "NO", "--nu", "0", "--J", "0", "--grid-points", "16384",
+        ["compare", "NO", "--nu", "0", "--J", "0", "--grid-points", "2048",
          "--format", "csv"],
     )
     assert result.exit_code == 0
@@ -347,10 +346,9 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
 
     monkeypatch.setattr(cli_module, "deviation_report", not_called)
     monkeypatch.setattr(cli_module, "default_r_grid", not_called)
-    assert MAX_GRID_POINTS >= MAX_BASIS  # the largest basis the oracle builds
+    assert MAX_BASIS == 2048  # --grid-points stops at the largest basis built
     for args, low, cap in (
-        (["compare", "NO", "--nu", "0", "--J", "0", "--grid-points"], 4,
-         MAX_GRID_POINTS),
+        (["compare", "NO", "--nu", "0", "--J", "0", "--grid-points"], 4, MAX_BASIS),
         (["approx-error", "NO", "--points"], 2, MAX_SCAN_POINTS),
     ):
         for bad in (cap + 1, low - 1, -5):
@@ -363,8 +361,7 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
 
 
 def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
-    # len(--J) x min(--grid-points, MAX_BASIS) bounds the total oracle work
-    # of one compare: the oracle builds at most MAX_BASIS per J
+    # len(--J) x --grid-points bounds the total oracle work of one compare
     def not_called(*args, **kwargs):
         raise AssertionError("a capped request reached the computation")
 
@@ -374,12 +371,12 @@ def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
         return runner.invoke(cli, ["compare", "NO", "--nu", "0", "--J",
                                    f"0..{n_J - 1}", "--grid-points", str(grid_points)])
 
-    n_J = MAX_ORACLE_POINTS // MAX_BASIS
-    assert n_J * MAX_BASIS == MAX_ORACLE_POINTS
-    for grid_points in (MAX_BASIS, MAX_GRID_POINTS):
+    for grid_points in (MAX_BASIS, MAX_BASIS // 2):
+        n_J = MAX_ORACLE_POINTS // grid_points
+        assert n_J * grid_points == MAX_ORACLE_POINTS
         result = compare(n_J + 1, grid_points)
         assert result.exit_code == 2
-        assert (f"asks for {(n_J + 1) * MAX_BASIS} oracle basis functions; "
+        assert (f"asks for {(n_J + 1) * grid_points} oracle basis functions; "
                 f"the limit is {MAX_ORACLE_POINTS}") in result.stderr
         # the cap itself is accepted and goes on to the computation
         result = compare(n_J, grid_points)
