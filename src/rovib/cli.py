@@ -29,8 +29,8 @@ import click
 
 from . import __version__
 from .database import DatabaseError, UnknownMoleculeError, load_database
-from .oracle import MAX_BASIS, deviation_report
 from .potentials import (
+    MAX_BASIS,
     SingularRadiusError,
     SpectroscopicParams,
     alpha_dmrm,
@@ -242,6 +242,8 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
             f"--J x --grid-points asks for {basis} oracle basis functions; "
             f"the limit is {MAX_ORACLE_POINTS}"
         )
+    from .oracle import deviation_report  # the one command that needs the oracle
+
     report = deviation_report(
         _params(molecule, db), list(nu_list), list(J_list), n_points=grid_points
     )

@@ -19,9 +19,9 @@ environment variable, then the bundled table.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .potentials import SpectroscopicParams
 from .units import mass_grams_to_amu
@@ -48,8 +48,7 @@ class UnknownMoleculeError(KeyError):
     """Requested molecule not present in the database."""
 
 
-@dataclass(frozen=True)
-class MoleculeDatabase:
+class MoleculeDatabase(NamedTuple):
     path: str
     molecules: dict[str, SpectroscopicParams]
 

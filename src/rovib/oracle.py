@@ -10,17 +10,20 @@ the problems of one basis size solved as one stacked eigensolve
 (dvr_eigenvalues).  Its disagreement with the closed form measures the
 rational approximation of the centrifugal term.  deviation_report runs
 it over a closed-form (nu, J) table, converge for one level of a
-TietzHua.  numpy is imported by the functions that build arrays, not
-by importing this module.
+TietzHua.  No other module imports this one at load time: the package
+resolves converge and deviation_report on first access and the CLI
+imports it inside compare, so the closed form never pays for compiling
+it.  numpy is imported by the functions that build arrays, not by
+importing this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .potentials import SingularRadiusError, TietzHua, evaluate, from_params
+from .potentials import (MAX_BASIS, SingularRadiusError, TietzHua, evaluate,
+                         from_params)
 from .spectrum import LevelFailure, _index_error, level_table
 from .units import kinetic_factor
 
@@ -28,7 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DVR_TOL_CM1 = 1.0e-6  # N -> 2N agreement that ends the DVR refinement
-MAX_BASIS = 2048  # largest DVR basis; a solve: 0.7 s, 65 MB peak, 2 vCPUs, ~N^3
 _R_MIN, _R_MAX = 0.3, 8.0  # the range every box lies in, in units of re
 _TAIL = 18.0  # decay integral past each turning point: amplitude e^-18
 _SAFETY = 2.0  # spacing pi / (_SAFETY p_max), p_max the largest wave number
@@ -42,10 +44,18 @@ class ResolutionError(RuntimeError):
     """Basis budget too small to converge the requested level."""
 
 
+def _potential(model: TietzHua, r: np.ndarray) -> np.ndarray:
+    """evaluate, with a sample on the pole (0 < eta < 1) a ResolutionError."""
+    try:
+        return evaluate(model, r)
+    except SingularRadiusError as exc:
+        raise ResolutionError(f"{exc}; no oracle level") from None
+
+
 def _effective(model: TietzHua, r: np.ndarray, c) -> np.ndarray:
     """V(r) + c / r^2 for c = J(J+1) k: at one J, or with c a column of
     them at one J per row of r."""
-    return evaluate(model, r) + c / r**2
+    return _potential(model, r) + c / r**2
 
 
 def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
@@ -74,7 +84,7 @@ def _scan(model: TietzHua) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     r = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN)
-    return r, evaluate(model, r)
+    return r, _potential(model, r)
 
 
 def _box(r: np.ndarray, v: np.ndarray, E_top: float, k: float) -> tuple[float, float, int]:
@@ -146,8 +156,7 @@ def _dvr_levels(
     return out
 
 
-@dataclass(frozen=True)
-class ConvergeResult:
+class ConvergeResult(NamedTuple):
     """One level from the sinc DVR refined N -> 2N.
 
     The DVR converges exponentially in N, so no h^2 extrapolation is
@@ -216,8 +225,7 @@ def converge(
     return ConvergeResult(nu, J, *level)
 
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     nu: int
     J: int
     E_closed: float
@@ -227,8 +235,7 @@ class DeviationRow:
     basis: int  # 2N, the DVR basis behind E_oracle
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Closed form against the sinc-DVR oracle over a (nu, J) table."""
 
     molecule: str
@@ -259,9 +266,8 @@ def deviation_report(
             for J, cells in cells_by_J.items()}
     try:
         oracle = _dvr_levels(model, params.mu, jobs, n_max, _scan(model))
-    except SingularRadiusError as exc:  # a sample on the pole (0 < eta < 1)
-        oracle = {J: dict.fromkeys(nus, f"{exc}; no oracle level")
-                  for J, (nus, _) in jobs.items()}
+    except ResolutionError as exc:  # a sample on the pole
+        oracle = {J: dict.fromkeys(nus, str(exc)) for J, (nus, _) in jobs.items()}
     rows = []
     for row in rows_closed:
         level = (oracle[row.J][row.nu] if row.bound else

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .units import kinetic_factor
 
@@ -36,6 +37,10 @@ _INV_E = math.exp(-1.0)
 # oracle quantities built from them stay finite.
 MAX_MAGNITUDE = 1.0e6
 MAX_B_RE = 50.0
+# Largest sinc-DVR basis the oracle builds per J (a solve: 0.7 s, 65 MB
+# peak, 2 vCPUs, ~N^3); kept here so that the CLI's --grid-points range
+# does not load the oracle.
+MAX_BASIS = 2048
 
 
 class SingularRadiusError(ValueError):
@@ -94,8 +99,7 @@ class SpectroscopicParams:
             )
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Shape parameters fixed by the minimum conditions.
 
     b = 2 alpha, u = b re, q = -eta e^u, beta = sqrt(Ke / 2 De) with Ke
@@ -139,8 +143,7 @@ def derive(params: SpectroscopicParams) -> DerivedParams:
 # the potential model
 
 
-@dataclass(frozen=True)
-class TietzHua:
+class TietzHua(NamedTuple):
     """U(r) = De [(1 - e^{-b(r-re)}) / (1 - eta e^{-b(r-re)})]^2.
 
     The one potential model: :func:`schioberg` and :func:`deng_fan`
@@ -159,8 +162,7 @@ class TietzHua:
         return -self.eta * math.exp(self.b * self.re)
 
 
-@dataclass(frozen=True)
-class PForm:
+class PForm(NamedTuple):
     """Rational coefficients of U = P1 + P2/(e^{br}+q) + P3/(e^{br}+q)^2."""
 
     b: float
@@ -240,8 +242,7 @@ def to_pform(model: TietzHua) -> PForm:
 # verification helpers
 
 
-@dataclass(frozen=True)
-class VarshniReport:
+class VarshniReport(NamedTuple):
     """Finite-difference check of the minimum conditions.
 
     dU_at_re and d2U_at_re are 5-point stencil derivatives at re; depth

@@ -18,8 +18,7 @@ arrays: the coefficients of one J are plain floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .potentials import PForm
 from .units import kinetic_factor
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class FactorizationCoefficients:
+class FactorizationCoefficients(NamedTuple):
     """Coefficients of the rational re^2/r^2 approximation."""
 
     C1: float
@@ -37,8 +35,7 @@ class FactorizationCoefficients:
     C3: float
 
 
-@dataclass(frozen=True)
-class EffectiveCoefficients:
+class EffectiveCoefficients(NamedTuple):
     """P-form coefficients shifted by the centrifugal expansion; the
     numbers are arrays over J when built for an array of J."""
 

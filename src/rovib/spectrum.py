@@ -33,7 +33,6 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import NamedTuple
 
@@ -64,8 +63,7 @@ class EnergyLevel(NamedTuple):
     bound: bool  # False past the formula's monotone range or the zero of q s
 
 
-@dataclass(frozen=True)
-class SusyIntermediates:
+class SusyIntermediates(NamedTuple):
     """Superpotential coefficients and the factorization ground state."""
 
     Q1t: float  # 1/Angstrom, negative for a normalizable state
@@ -74,15 +72,18 @@ class SusyIntermediates:
     branch: str  # "plus" for q > 0, "minus" for q < 0
 
 
-@dataclass(frozen=True)
-class LevelFailure:
+class LevelFailure(NamedTuple):
     nu: int
     J: int
     error: str
 
 
 def _index_error(label: str, value: int) -> str | None:
-    if value < 0 or value % 1:  # nan % 1 and inf % 1 are nan
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond float range
+        return f"{label} must be a non-negative integer, got one beyond float range"
+    if x < 0 or x % 1:  # nan % 1 and inf % 1 are nan
         return f"{label} must be a non-negative integer, got {value}"
     return None
 
@@ -129,9 +130,11 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
     R2 = q**2 + 4.0 * eff.Pt3 / kb2  # per J
     R = np.sqrt(np.maximum(R2, 0.0))
-    n = 1.0 + 2.0 * np.asarray(nu_list, dtype=float)[:, None]
+    # a failed nu's cells are computed at nu = 0 and discarded
+    n = 1.0 + 2.0 * np.array([0.0 if e else float(nu)
+                              for nu, e in zip(nu_list, nu_errors)])[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        qs = R - q * n  # nan at q = 0 and an infinite nu, which fails
+        qs = R - q * n
         # bracket = (4 Pt2/kb2 + 2 n R - q (1 + n**2)) / (4 q s)
         bracket = np.multiply(2.0 * n, R)
         np.add(4.0 * eff.Pt2 / kb2, bracket, out=bracket)
@@ -183,7 +186,7 @@ def _scalar_table(pform: PForm, effs: list[EffectiveCoefficients], nu_list, J_li
     cells, failures = [], []
     for nu in nu_list:
         nu_error = _index_error("nu", nu)
-        n = 1.0 + 2.0 * float(nu)
+        n = 1.0 + 2.0 * (0.0 if nu_error else float(nu))
         qn, two_n, q_n2 = q * n, 2.0 * n, q * (1.0 + n * n)
         for J, J_error, R2, R, p2, Pt1 in per_J:
             qs = R - qn

@@ -331,7 +331,7 @@ def test_pair_cap_is_a_usage_error(runner, monkeypatch):
         raise AssertionError("a capped request reached the computation")
 
     monkeypatch.setattr(cli_module, "level_table", not_called)
-    monkeypatch.setattr(cli_module, "deviation_report", not_called)
+    monkeypatch.setattr("rovib.oracle.deviation_report", not_called)
     side = int(MAX_PAIRS**0.5) + 1  # side * side pairs, each list far below the cap
     spec = f"0..{side - 1}"
     for command in ("levels", "compare"):
@@ -344,7 +344,7 @@ def test_grid_and_scan_caps_are_usage_errors(runner, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a capped request reached the computation")
 
-    monkeypatch.setattr(cli_module, "deviation_report", not_called)
+    monkeypatch.setattr("rovib.oracle.deviation_report", not_called)
     monkeypatch.setattr(cli_module, "default_r_grid", not_called)
     assert MAX_BASIS == 2048  # --grid-points stops at the largest basis built
     for args, low, cap in (
@@ -365,7 +365,7 @@ def test_oracle_work_cap_is_a_usage_error(runner, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a capped request reached the computation")
 
-    monkeypatch.setattr(cli_module, "deviation_report", not_called)
+    monkeypatch.setattr("rovib.oracle.deviation_report", not_called)
 
     def compare(n_J, grid_points):
         return runner.invoke(cli, ["compare", "NO", "--nu", "0", "--J",
@@ -461,6 +461,47 @@ def test_no_command_loads_scipy():
         "NO,3,0,6453.240002,6453.240002,-0.000000\n"
         "NO,3,5,6501.894569,6501.876152,0.018418\n"
     )
+
+
+SUBMODULES_LOADED = """
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+def loaded(step):
+    print(step + ":", *sorted(m for m in sys.modules if m.startswith("rovib.")),
+          file=sys.stderr)
+
+import rovib
+loaded("import rovib")
+from rovib.database import load_database
+loaded("load_database")
+import rovib.cli
+for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
+             ["approx-error", "NO"], ["--help"], ["compare", "NO", "--nu", "0"]):
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            rovib.cli.cli.main(args, standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    loaded(args[0])
+"""
+
+
+def test_each_call_loads_only_the_submodules_it_uses():
+    # a fresh interpreter: import rovib loads no submodule, and only
+    # compare loads the oracle
+    proc = fresh_rovib(["-c", SUBMODULES_LOADED])
+    assert proc.returncode == 0, proc.stderr
+    closed_form = "rovib.cli rovib.database rovib.potentials rovib.rotational " \
+                  "rovib.spectrum rovib.units"
+    assert proc.stderr.splitlines() == [
+        "import rovib:", "load_database: rovib.database rovib.potentials rovib.units",
+        *(f"{command}: {closed_form}"
+          for command in ("levels", "morse", "varshni", "approx-error", "--help")),
+        "compare: rovib.cli rovib.database rovib.oracle rovib.potentials "
+        "rovib.rotational rovib.spectrum rovib.units",
+    ]
 
 
 @pytest.mark.parametrize("module", ["rovib", "rovib.cli"])

@@ -17,7 +17,8 @@ from rovib.oracle import (
     deviation_report,
     dvr_eigenvalues,
 )
-from rovib.potentials import SpectroscopicParams, TietzHua, derive, from_params
+from rovib.potentials import SpectroscopicParams, TietzHua, derive, evaluate, from_params
+from rovib.rotational import badawi_coefficients
 from rovib.spectrum import level_table
 from rovib.units import kinetic_factor
 
@@ -347,6 +348,18 @@ def test_a_pole_on_a_potential_sample_fails_each_cell(db):
         "radius within 1e-9 A of the potential pole at 0.994740645 A; no oracle level"}
 
 
+def test_converge_with_a_pole_on_a_potential_sample_raises_resolution_error(db):
+    # the same pole as above: converge names it as deviation_report does,
+    # instead of letting SingularRadiusError escape
+    p = db.get("NO")
+    scan = np.linspace(oracle._R_MIN * p.re, oracle._R_MAX * p.re, oracle._SCAN)
+    on_pole = dataclasses.replace(p, eta=math.exp(2.0 * p.alpha * (scan[150] - p.re)))
+    with pytest.raises(ResolutionError) as info:
+        converge(from_params(on_pole), 0, on_pole.mu, 0)
+    assert str(info.value) == (
+        "radius within 1e-9 A of the potential pole at 0.994740645 A; no oracle level")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     De=st.floats(2.0e4, 6.0e4),
@@ -369,6 +382,29 @@ def test_dvr_matches_exact_closed_form_at_J0(De, re, mu, alpha, eta):
     assert [row.nu for row in report.rows] == nus
     for row in report.rows:
         assert abs(row.delta) <= 1.0e-6, (row.nu, row.delta, row.oracle_err)
+
+
+@pytest.mark.parametrize("J", [20, 50, 100, 150])
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_closed_form_is_exact_for_the_rational_centrifugal_term(db, name, J):
+    # at J > 0 the closed form solves U + gamma (C1 + C2 y + C3 y^2),
+    # y = 1/(e^{br} + q), exactly: a 700-point sinc DVR of that potential
+    # on [0.55 re, 4 re] must give every bound level below 0.9 De to 1e-6
+    # cm^-1 (about 1e-9 in practice).  Only the rational re^2/r^2 separates
+    # the closed form from the true spectrum.
+    p = db.get(name)
+    derived, k = derive(p), kinetic_factor(p.mu)
+    C = badawi_coefficients(derived.u, p.eta)
+    gamma = J * (J + 1) * k / p.re**2
+    r = np.linspace(0.55 * p.re, 4.0 * p.re, 700)
+    y = 1.0 / (np.exp(derived.b * r) + derived.q)
+    v = evaluate(from_params(p), r) + gamma * (C.C1 + C.C2 * y + C.C3 * y**2)
+    E = dvr_eigenvalues(r, v, k)
+    rows, _ = level_table(p, list(range(700)), [J])
+    levels = [row for row in rows if row.bound and row.E < 0.9 * p.De]
+    assert len(levels) >= 8
+    for row in levels:
+        assert abs(row.E - E[row.nu]) <= 1.0e-6, (row.nu, row.E - E[row.nu])
 
 
 def test_cells_past_the_zero_of_s_are_beyond_the_bound_range():

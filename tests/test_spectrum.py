@@ -417,6 +417,26 @@ def test_non_finite_indices_fail_like_any_bad_index(db, bad):
                 call()
 
 
+def test_indices_beyond_float_range_fail_like_any_bad_index(db):
+    # float(10**400) raises OverflowError, which used to escape both kernels
+    huge = 10**400
+    want = {"nu must be a non-negative integer, got one beyond float range",
+            "J must be a non-negative integer, got one beyond float range"}
+    for p in (db.get("NO"), _near_morse(0.0)):
+        for n in (2, MAX_SCALAR_CELLS):  # the scalar kernel, then the array one
+            rows, failures = level_table(p, [huge, *range(n)], [0, huge])
+            assert rows == level_table(p, list(range(n)), [0])[0]
+            assert [(f.nu, f.J) for f in failures] == [
+                (huge, 0), (huge, huge), *((i, huge) for i in range(n))]
+            assert {f.error for f in failures} == want
+        with pytest.raises(ValueError, match="nu must be .* beyond float range"):
+            level(p, huge, 0)
+        with pytest.raises(ValueError, match="J must be .* beyond float range"):
+            level(p, 0, huge)
+        with pytest.raises(ValueError, match="nu must be .* beyond float range"):
+            morse_vibrational_energy(p.De, p.we, huge)
+
+
 def _scalar_energy(params, nu, J):
     """E and bound from the per-level closed form in plain Python floats,
     with the operation order of the array kernel; None where the cell
