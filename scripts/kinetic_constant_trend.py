@@ -10,7 +10,6 @@ value does not reproduce seven of the entries within 0.005 cm^-1.
 Usage: python scripts/kinetic_constant_trend.py
 """
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -41,7 +40,7 @@ def worst_residual(db, candidate):
 
     def params(name):
         p = db.get(name)
-        return dataclasses.replace(p, mu=p.mu / (candidate / HBAR2_OVER_2MU))
+        return p._replace(mu=p.mu / (candidate / HBAR2_OVER_2MU))
 
     worst = 0.0
     over = 0

@@ -156,6 +156,12 @@ def _dvr_levels(
     return out
 
 
+def _whole_budget(n_points) -> bool:
+    """n_points is a whole number >= 4.  nan fails every comparison, so a
+    nan budget would never stop the refinement's doubling."""
+    return n_points >= 4 and n_points % 1 == 0
+
+
 class ConvergeResult(NamedTuple):
     """One level from the sinc DVR refined N -> 2N.
 
@@ -189,13 +195,13 @@ def converge(
     """
     import numpy as np
 
-    if nu < 0 or J < 0 or n_points < 4:
-        raise ValueError(f"need nu >= 0, J >= 0 and n_points >= 4, got "
+    if nu < 0 or J < 0 or not _whole_budget(n_points):
+        raise ValueError(f"need nu >= 0, J >= 0 and a whole n_points >= 4, got "
                          f"{nu}, {J}, {n_points}")
     if error := _index_error("nu", nu) or _index_error("J", J):
         raise ValueError(error)
     nu, J = int(nu), int(J)
-    k, n_max = kinetic_factor(mu), min(n_points, MAX_BASIS)
+    k, n_max = kinetic_factor(mu), min(int(n_points), MAX_BASIS)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
         raise ResolutionError(_ABOVE_BASIS.format(n_max))
     scan = r, V = _scan(model)
@@ -254,10 +260,10 @@ def deviation_report(
     refinement may build, at most MAX_BASIS; a cell beyond the bound
     range, one _dvr_levels gives a reason for, or one whose potential
     samples hit the pole, is a LevelFailure."""
-    if not nu_list or not J_list or n_points < 4:
-        raise ValueError("need non-empty nu_list and J_list and n_points >= 4")
+    if not nu_list or not J_list or not _whole_budget(n_points):
+        raise ValueError("need non-empty nu_list and J_list and a whole n_points >= 4")
     rows_closed, failures = level_table(params, nu_list, J_list)
-    model, n_max = from_params(params), min(n_points, MAX_BASIS)
+    model, n_max = from_params(params), min(int(n_points), MAX_BASIS)
     cells_by_J: dict[int, list] = {}
     for row in rows_closed:
         if row.bound:

@@ -24,7 +24,6 @@ constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .units import kinetic_factor
@@ -47,20 +46,7 @@ class SingularRadiusError(ValueError):
     """Potential evaluated at (or numerically on top of) a pole."""
 
 
-@dataclass(frozen=True)
-class SpectroscopicParams:
-    """Input constants for one molecule.
-
-    Energies in cm^-1, lengths in Angstrom, mass in amu.  ``eta`` is the
-    shape (deformation) parameter of the Tietz-Hua form; ``eta = 1``
-    degenerates the potential and is rejected.  ``beta_table`` optionally
-    carries a tabulated Morse constant for consistency reports; the
-    package otherwise works with the value derived from we.  Every number
-    must be finite, the positive ones within [1/MAX_MAGNITUDE,
-    MAX_MAGNITUDE], |eta| at most MAX_MAGNITUDE and 2 alpha re at most
-    MAX_B_RE, so that nothing computed from them overflows.
-    """
-
+class _SpectroscopicFields(NamedTuple):
     name: str
     De: float
     re: float
@@ -70,7 +56,26 @@ class SpectroscopicParams:
     eta: float
     beta_table: float | None = None
 
-    def __post_init__(self) -> None:
+
+class SpectroscopicParams(_SpectroscopicFields):
+    """Input constants for one molecule.
+
+    Energies in cm^-1, lengths in Angstrom, mass in amu.  ``eta`` is the
+    shape (deformation) parameter of the Tietz-Hua form; ``eta = 1``
+    degenerates the potential and is rejected.  ``beta_table`` optionally
+    carries a tabulated Morse constant for consistency reports; the
+    package otherwise works with the value derived from we.  Every number
+    must be finite, the positive ones within [1/MAX_MAGNITUDE,
+    MAX_MAGNITUDE], |eta| at most MAX_MAGNITUDE and 2 alpha re at most
+    MAX_B_RE, so that nothing computed from them overflows.  Every way
+    of making one checks these: the constructor, ``_make``, ``_replace``,
+    ``copy`` and unpickling.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, De, re, we, mu, alpha, eta, beta_table=None):
+        self = super().__new__(cls, name, De, re, we, mu, alpha, eta, beta_table)
         for field in ("De", "re", "we", "mu", "alpha", "eta", "beta_table"):
             value = getattr(self, field)
             if value is not None and not math.isfinite(value):
@@ -97,6 +102,12 @@ class SpectroscopicParams:
                 f"alpha must keep 2 alpha re at most {MAX_B_RE:g}, got alpha = "
                 f"{self.alpha} at re = {self.re}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and so _replace) bypasses __new__
+        return cls(*iterable)
 
 
 class DerivedParams(NamedTuple):

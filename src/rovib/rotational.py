@@ -70,7 +70,15 @@ def centrifugal_strength(J, mu: float, re: float):
         raise ValueError(f"J must be a non-negative integer, got {J}")
     if re <= 0.0:
         raise ValueError(f"re must be positive, got {re}")
-    return J * (J + 1) * kinetic_factor(mu) / re**2
+    try:
+        return J * (J + 1) * kinetic_factor(mu) / re**2
+    except OverflowError:  # an int J(J+1) beyond float range: J in floats
+        try:
+            J = float(J)
+        except OverflowError:
+            raise ValueError("J must be a non-negative integer, got one beyond "
+                             "float range") from None
+        return J * (J + 1) * kinetic_factor(mu) / re**2
 
 
 def effective_coefficients(

@@ -2,8 +2,6 @@
 # verbatim from the source tables (checked line by line).  All energies
 # in cm^-1, lengths in Angstrom, masses in 1e-23 g.
 
-import dataclasses
-
 # Parameter sets as printed: eta, mu/1e-23 g, alpha, re, beta, De, omega_e.
 PUBLISHED_PARAMS = {
     "NO":  dict(eta=-0.029477, mu_g=1.249e-23, alpha=1.357795, re=1.151, beta=2.7534, De=53341.0, we=1904.2),
@@ -75,9 +73,7 @@ def benchmark_params(params):
     printed to 4 decimals, so the two exponents differ by up to 5e-5
     1/Angstrom, which moves nu = 5 levels of O2 and O2+ by ~0.1 cm^-1.
     """
-    return dataclasses.replace(
-        params, alpha=params.beta_table * (1.0 - params.eta) / 2.0
-    )
+    return params._replace(alpha=params.beta_table * (1.0 - params.eta) / 2.0)
 
 
 # N2 vibrational levels at J = 0: {nu: (rkr, rosen_morse, closed_form, morse)}.

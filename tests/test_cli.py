@@ -469,12 +469,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 def loaded(step):
-    print(step + ":", *sorted(m for m in sys.modules if m.startswith("rovib.")),
+    print(step + ":", *sorted(m for m in sys.modules
+                              if m.startswith("rovib.") or m == "dataclasses"),
           file=sys.stderr)
 
 import rovib
 loaded("import rovib")
 from rovib.database import load_database
+load_database()
 loaded("load_database")
 import rovib.cli
 for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
@@ -489,8 +491,9 @@ for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
 
 
 def test_each_call_loads_only_the_submodules_it_uses():
-    # a fresh interpreter: import rovib loads no submodule, and only
-    # compare loads the oracle
+    # a fresh interpreter: import rovib loads no submodule, only compare
+    # loads the oracle, and no step loads dataclasses (which would import
+    # inspect, ast, dis and tokenize: about half of a cold start)
     proc = fresh_rovib(["-c", SUBMODULES_LOADED])
     assert proc.returncode == 0, proc.stderr
     closed_form = "rovib.cli rovib.database rovib.potentials rovib.rotational " \

@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rovib import oracle
@@ -17,10 +16,13 @@ from rovib.oracle import (
     deviation_report,
     dvr_eigenvalues,
 )
-from rovib.potentials import SpectroscopicParams, TietzHua, derive, evaluate, from_params
+from rovib.potentials import (SpectroscopicParams, TietzHua, derive, evaluate,
+                              from_params, pole_radius)
 from rovib.rotational import badawi_coefficients
 from rovib.spectrum import level_table
 from rovib.units import kinetic_factor
+
+from test_spectrum import physical_params
 
 MU = 8.0
 MORSE = TietzHua(De=42041.0, re=1.207, b=2.6636, eta=0.0)  # eta = 0: Morse
@@ -101,6 +103,26 @@ def test_converge_argument_validation():
     for J, nu, n_points in ((-1, 0, 100), (0, -1, 100), (0, 0, 3)):
         with pytest.raises(ValueError, match="need nu >= 0"):
             converge(MORSE, J, MU, nu, n_points=n_points)
+
+
+@pytest.mark.parametrize("n_points", [math.nan, math.inf, 100.5])
+def test_a_budget_that_is_not_a_whole_number_fails_before_any_solve(db, bases, n_points):
+    # min(nan, MAX_BASIS) is nan, which fails every budget comparison: O2
+    # nu = 54 then asked for a 3244-function basis and kept doubling
+    p = db.get("O2")
+    with pytest.raises(ValueError, match="a whole n_points >= 4"):
+        deviation_report(p, [54], [0], n_points=n_points)
+    with pytest.raises(ValueError, match="a whole n_points >= 4"):
+        converge(from_params(p), 0, p.mu, 54, n_points=n_points)
+    assert bases == []
+
+
+def test_a_whole_float_budget_is_the_integer_budget(db):
+    p = db.get("O2")
+    assert deviation_report(p, [0, 3], [0], n_points=100.0) == \
+        deviation_report(p, [0, 3], [0], n_points=100)
+    assert converge(from_params(p), 0, p.mu, 0, n_points=100.0) == \
+        converge(from_params(p), 0, p.mu, 0, n_points=100)
 
 
 def test_converge_rejects_non_integer_indices():
@@ -339,7 +361,7 @@ def test_a_pole_on_a_potential_sample_fails_each_cell(db):
     # that places the boxes used to escape as SingularRadiusError
     p = db.get("NO")
     scan = np.linspace(oracle._R_MIN * p.re, oracle._R_MAX * p.re, oracle._SCAN)
-    on_pole = dataclasses.replace(p, eta=math.exp(2.0 * p.alpha * (scan[150] - p.re)))
+    on_pole = p._replace(eta=math.exp(2.0 * p.alpha * (scan[150] - p.re)))
     assert level_table(on_pole, [0, 1], [0, 5])[0]  # bound closed-form rows
     report = deviation_report(on_pole, [0, 1], [0, 5], n_points=256)
     assert report.rows == []
@@ -353,7 +375,7 @@ def test_converge_with_a_pole_on_a_potential_sample_raises_resolution_error(db):
     # instead of letting SingularRadiusError escape
     p = db.get("NO")
     scan = np.linspace(oracle._R_MIN * p.re, oracle._R_MAX * p.re, oracle._SCAN)
-    on_pole = dataclasses.replace(p, eta=math.exp(2.0 * p.alpha * (scan[150] - p.re)))
+    on_pole = p._replace(eta=math.exp(2.0 * p.alpha * (scan[150] - p.re)))
     with pytest.raises(ResolutionError) as info:
         converge(from_params(on_pole), 0, on_pole.mu, 0)
     assert str(info.value) == (
@@ -403,6 +425,33 @@ def test_closed_form_is_exact_for_the_rational_centrifugal_term(db, name, J):
     rows, _ = level_table(p, list(range(700)), [J])
     levels = [row for row in rows if row.bound and row.E < 0.9 * p.De]
     assert len(levels) >= 8
+    for row in levels:
+        assert abs(row.E - E[row.nu]) <= 1.0e-6, (row.nu, row.E - E[row.nu])
+
+
+@pytest.mark.parametrize("J", [20, 100])
+@settings(max_examples=10, deadline=None)
+@given(p=physical_params)
+def test_closed_form_is_exact_for_drawn_molecules(J, p):
+    # the check above for drawn molecules, whose inner walls can be softer
+    # (b re down to 1.6): a wall at 0.55 re moves the nu = 20, J = 20 level
+    # of a Morse well with b re = 2 by 1.04e-6 cm^-1, so the box starts at
+    # 0.3 re.  It keeps 700 points unless 2.5 points per half de Broglie
+    # wavelength at 0.9 De need more
+    derived, k = derive(p), kinetic_factor(p.mu)
+    lo, hi = 0.3 * p.re, 4.0 * p.re
+    pole = pole_radius(derived.b, derived.q)
+    assume(pole is None or not lo <= pole <= hi)  # eta > 0 at large b re
+    C = badawi_coefficients(derived.u, p.eta)
+    gamma = J * (J + 1) * k / p.re**2
+    n = max(700, math.ceil(2.5 * math.sqrt(0.9 * p.De / k) * (hi - lo) / math.pi))
+    r = np.linspace(lo, hi, n)
+    y = 1.0 / (np.exp(derived.b * r) + derived.q)
+    v = evaluate(from_params(p), r) + gamma * (C.C1 + C.C2 * y + C.C3 * y**2)
+    E = dvr_eigenvalues(r, v, k)
+    rows, _ = level_table(p, list(range(n)), [J])
+    levels = [row for row in rows if row.bound and row.E < 0.9 * p.De]
+    assume(levels)  # J = 100 can lift a light molecule's well past 0.9 De
     for row in levels:
         assert abs(row.E - E[row.nu]) <= 1.0e-6, (row.nu, row.E - E[row.nu])
 

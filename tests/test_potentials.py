@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -154,6 +156,57 @@ def test_degenerate_eta_rejected():
     with pytest.raises(ValueError, match="beta_table"):
         SpectroscopicParams(name="X", De=5.0e4, re=1.2, we=1800.0, mu=7.5,
                             alpha=1.3, eta=0.05, beta_table=-2.0)
+
+
+# ---------------------------------------------------------------------------
+# the record
+
+
+def test_bundled_row_repr(db):
+    assert repr(db.get("NO")) == (
+        "SpectroscopicParams(name='NO', De=53341.0, re=1.151, we=1904.2, "
+        "mu=7.521653811839323, alpha=1.357795, eta=0.013727, beta_table=2.7534)"
+    )
+
+
+def _unchecked(params, **changes):
+    """A record built by tuple.__new__ alone, as namedtuple's own _make
+    builds it: no field check runs."""
+    return tuple.__new__(type(params), (params._asdict() | changes).values())
+
+
+MAKERS = {
+    "keyword": lambda p: SpectroscopicParams(**p._asdict()),
+    "position": lambda p: SpectroscopicParams(*p),
+    "_replace": lambda p: p._replace(),
+    "_make": lambda p: SpectroscopicParams._make(p),
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "copy": copy.copy,
+}
+
+
+@pytest.mark.parametrize("how", list(MAKERS))
+def test_every_way_of_making_a_record_checks_its_fields(db, how):
+    p = db.get("NO")
+    same = MAKERS[how](p)
+    assert type(same) is SpectroscopicParams and same == p
+    if how == "_replace":  # the copy, not the record copied, is the bad one
+        bad = lambda: p._replace(re=-1.0)
+    else:
+        bad = lambda: MAKERS[how](_unchecked(p, re=-1.0))
+    with pytest.raises(ValueError, match="^re must be positive, got -1.0$"):
+        bad()
+
+
+def test_a_record_is_an_immutable_hashable_tuple(db):
+    p = db.get("NO")
+    with pytest.raises(AttributeError):
+        p.De = 1.0
+    with pytest.raises(AttributeError):
+        p.extra = 1.0
+    twin = SpectroscopicParams(*p)
+    assert twin is not p and twin == p == tuple(p)
+    assert hash(twin) == hash(p) and len({p, twin}) == 1
 
 
 # ---------------------------------------------------------------------------

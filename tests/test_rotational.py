@@ -142,6 +142,9 @@ def test_centrifugal_strength_domain():
         centrifugal_strength(1, 7.5, 0.0)
     with pytest.raises(ValueError):
         centrifugal_strength(1, -7.5, 1.2)
+    # the text level_table gives for such an index, not an OverflowError
+    with pytest.raises(ValueError, match="got one beyond float range"):
+        centrifugal_strength(10**400, 7.5, 1.2)
 
 
 def test_expansion_error_grows_away_from_minimum(db):

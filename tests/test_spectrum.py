@@ -468,6 +468,7 @@ physical_params = st.builds(
     mu=st.floats(5.0, 12.0),
     alpha=st.floats(0.9, 1.8),
     eta=st.floats(-0.1, 0.1) | st.sampled_from([0.0, 1.0e-15, -1.0e-12]),
+    beta_table=st.none(),
 )
 
 
