@@ -12,8 +12,6 @@ Usage: python scripts/approximation_error_report.py [--points N]
 
 import argparse
 
-import numpy as np
-
 from rovib.database import load_database
 from rovib.potentials import derive, pole_radius
 from rovib.rotational import (
@@ -38,17 +36,16 @@ def main():
         pole = pole_radius(d.b, d.q)
 
         for factor in (1.0, 1.1, 1.3, 2.0):
-            r = np.array([factor * params.re])
-            rational = centrifugal_approx_error(coeffs, d.q, d.u, d.b, r)[0]
-            exponential = greene_aldrich_error(d.b, r)[0]
+            r = factor * params.re
+            rational = centrifugal_approx_error(coeffs, d.q, d.u, d.b, [r])[0]
+            exponential = greene_aldrich_error(d.b, r)
             print(f"{name:>9} {factor:>10.1f}re {rational:12.3e} "
                   f"{exponential:12.3e}")
 
         window = default_r_grid(params.re, args.points, pole=pole)
-        near = window[(window > 0.9 * params.re) & (window < 1.1 * params.re)]
-        rational = np.max(np.abs(
-            centrifugal_approx_error(coeffs, d.q, d.u, d.b, near)))
-        exponential = np.max(np.abs(greene_aldrich_error(d.b, near)))
+        near = [r for r in window if 0.9 * params.re < r < 1.1 * params.re]
+        rational = max(map(abs, centrifugal_approx_error(coeffs, d.q, d.u, d.b, near)))
+        exponential = max(map(abs, greene_aldrich_error(d.b, near)))
         print(f"{name:>9} {'0.9-1.1re':>12} {rational:12.3e} "
               f"{exponential:12.3e}  (window max)")
 

@@ -419,20 +419,17 @@ def approx_error(molecule, points, fmt, db) -> None:
                  for row in zip(*(values for values, _ in columns.values()))])
         elif fmt == "json":
             text = json.dumps({"molecule": molecule, **{
-                key: list(values) for key, (values, _) in columns.items()}}, indent=2)
+                key: values for key, (values, _) in columns.items()}}, indent=2)
         else:
-            import numpy as np
-
-            r_eq = np.array([params.re])
-            at_re_rational = float(centrifugal_approx_error(
-                coeffs, derived.q, derived.u, derived.b, r_eq
-            )[0])
-            at_re_exponential = float(greene_aldrich_error(derived.b, r_eq)[0])
+            at_re_rational = centrifugal_approx_error(
+                coeffs, derived.q, derived.u, derived.b, [params.re]
+            )[0]
+            at_re_exponential = greene_aldrich_error(derived.b, params.re)
             text = "\n".join([
                 f"molecule {molecule}: centrifugal approximation error, "
-                f"{radii.size} radii in [{radii[0]:.3f}, {radii[-1]:.3f}] A",
-                f"max |rational|    = {float(np.max(np.abs(rational))):.3e}",
-                f"max |exponential| = {float(np.max(np.abs(exponential))):.3e}",
+                f"{len(radii)} radii in [{radii[0]:.3f}, {radii[-1]:.3f}] A",
+                f"max |rational|    = {max(map(abs, rational)):.3e}",
+                f"max |exponential| = {max(map(abs, exponential)):.3e}",
                 f"at re: rational {at_re_rational:.3e}, "
                 f"exponential {at_re_exponential:.3e}",
             ])

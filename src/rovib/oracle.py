@@ -112,9 +112,12 @@ def _dvr_levels(
 
     Per J, box and first N: _box at E_top (the highest level's).  N
     doubles while some level moves by more than DVR_TOL_CM1 and 4N fits
-    in n_max.  With E_top at or below the scan's minimum of the effective
-    potential there is no well to box and nothing is solved; a level at
-    or above the last N has no N -> 2N pair.  The J values refine
+    in n_max; then, if n_max // 2 exceeds N, the last pair that fits,
+    (n_max // 2, 2 (n_max // 2)), serves the levels still unconverged,
+    and a level converged at an earlier pair keeps that pair.  With E_top
+    at or below the scan's minimum of the effective potential there is
+    no well to box and nothing is solved; a level at or above the last N
+    has no N -> 2N pair.  The J values refine
     together: each step solves those due at the smallest basis size as
     one stack of at most max(size^2, _STACK) matrix elements."""
     import numpy as np
@@ -142,17 +145,23 @@ def _dvr_levels(
                 fine[J], size[J] = E, 2 * n
                 continue
             errors, fine[J] = np.abs(E - fine[J]), E
-            if not (np.all(errors <= DVR_TOL_CM1) or 4 * N[J] > n_max):
+            converged = np.all(errors <= DVR_TOL_CM1)
+            if not (converged or 4 * N[J] > n_max):
                 N[J], size[J] = n, 2 * n
                 continue
-            del size[J]
+            kept = out.get(J, {})  # set if this is the last pair
             out[J] = {
-                nu: _ABOVE_BASIS.format(n_max) if nu >= N[J] else
+                nu: kept[nu] if isinstance(kept.get(nu), tuple) else
+                _ABOVE_BASIS.format(n_max) if nu >= N[J] else
                 (E_nu, err, n) if err <= DVR_TOL_CM1 else
                 f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n} "
                 f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
                 for nu, E_nu, err in zip(nus, E.tolist(), errors.tolist())
             }
+            if converged or N[J] >= n_max // 2:
+                del size[J]
+            else:
+                N[J] = size[J] = n_max // 2
     return out
 
 

@@ -132,17 +132,14 @@ def derive(params: SpectroscopicParams) -> DerivedParams:
     """Fix the potential shape from the spectroscopic constants."""
     b = 2.0 * params.alpha
     u = b * params.re
-    q = -params.eta * math.exp(u)
+    eu = math.exp(u)
+    q = -params.eta * eu
     Ke = params.we**2 / (2.0 * kinetic_factor(params.mu))
     beta = math.sqrt(Ke / (2.0 * params.De))
-    eu = math.exp(u)
-    if q**2 == 0.0:
-        # Morse limit (q = 0, or so close that q^2 underflows): the
-        # Schioberg offset coefficient runs away while A (B + 1)^2 stays
-        # De; B itself is well defined (-1).
-        A = math.inf
-    else:
-        A = params.De * (eu + q) ** 2 / (4.0 * q**2)
+    # Morse limit (q = 0, or so close that q^2 underflows): the Schioberg
+    # offset coefficient runs away while A (B + 1)^2 stays De; B itself
+    # is well defined (-1).
+    A = math.inf if q**2 == 0.0 else params.De * (eu + q) ** 2 / (4.0 * q**2)
     B = -(eu - q) / (eu + q)
     for label, value in (("b", b), ("beta", beta), ("Ke", Ke), ("q", q), ("B", B)):
         if not math.isfinite(value):
@@ -205,9 +202,7 @@ def deng_fan(De: float, re: float, lam: float) -> TietzHua:
 
 def pole_radius(b: float, q: float) -> float | None:
     """Radius where e^{br} + q vanishes, or None if there is none for r > 0."""
-    if q >= 0.0:
-        return None
-    r = math.log(-q) / b
+    r = math.log(-q) / b if q < 0.0 else 0.0
     return r if r > 0.0 else None
 
 
@@ -217,24 +212,33 @@ def from_params(params: SpectroscopicParams) -> TietzHua:
 
 
 def evaluate(model: TietzHua, r):
-    """Potential energy at radius r (scalar or array), relative to the minimum.
-
-    Radii within 1e-9 Angstrom of a pole raise SingularRadiusError; the
-    poles exist only for q < 0.
+    """Potential energy at radius r, relative to the minimum: a float for
+    a Python float or int r, evaluated with math (no numpy import), else
+    numpy's array (a float if 0-d).  Both paths raise ValueError for r <= 0
+    and SingularRadiusError within 1e-9 Angstrom of a pole (q < 0 only),
+    give inf or nan where the other does, and differ only in exp's last bit.
     """
-    import numpy as np
+    if isinstance(r, (int, float)):  # an int past float range acts as +-1e308
+        xp, any_, r = math, bool, float(min(max(r, -1.0e308), 1.0e308))
+    else:
+        import numpy as xp
 
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+        any_, r = xp.any, xp.asarray(r, dtype=float)
+    if any_(r <= 0.0):
         raise ValueError("r must be positive")
     pole = pole_radius(model.b, model.q)
-    if pole is not None and np.any(np.abs(r - pole) < 1.0e-9):
-        raise SingularRadiusError(
-            f"radius within 1e-9 A of the potential pole at {pole:.9f} A"
-        )
-    y = np.exp(-model.b * (r - model.re))
-    out = model.De * ((1.0 - y) / (1.0 - model.eta * y)) ** 2
-    return float(out) if r.ndim == 0 else out
+    if pole is not None and any_(abs(r - pole) < 1.0e-9):
+        raise SingularRadiusError(f"radius within 1e-9 A of the potential pole "
+                                  f"at {pole:.9f} A")
+    try:
+        y = xp.exp(-model.b * (r - model.re))
+    except OverflowError:  # math only: numpy's inf makes the quotient nan
+        y = math.inf
+    try:
+        out = model.De * ((1.0 - y) / (1.0 - model.eta * y)) ** 2
+    except (OverflowError, ZeroDivisionError):  # math only: numpy gives inf
+        return math.inf
+    return float(out) if xp is math or r.ndim == 0 else out
 
 
 def to_pform(model: TietzHua) -> PForm:
@@ -299,12 +303,10 @@ def lambert_w0(x: float) -> float:
     Halley iteration from a branch-aware seed; accurate to ~1e-14
     relative over the domain used here (arguments of order unity).
     """
-    if x < -_INV_E:
+    if x <= -_INV_E:  # -1/e itself, or below it by rounding, is the branch point
         if x > -_INV_E - 1.0e-15 * _INV_E:
             return -1.0
         raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == -_INV_E:
-        return -1.0
     if x < -0.25:
         # series around the branch point in p = sqrt(2 (e x + 1))
         p = math.sqrt(2.0 * (math.e * x + 1.0))
@@ -336,9 +338,7 @@ def alpha_dmrm(
     printed exponent e^{-re beta / 2} instead and yields a systematically
     different alpha.
     """
-    beta = derived.beta
-    q = derived.q
-    re = params.re
+    beta, q, re = derived.beta, derived.q, params.re
     if variant == "as_published":
         arg = re * q * beta * math.exp(-re * beta / 2.0)
     elif variant == "corrected":

@@ -11,20 +11,19 @@ the minimum in the same rational basis as the potential,
 
 with C1..C3 fixed by matching value, slope and curvature at re.  The
 shifted coefficients Pt_i = P_i + gamma C_i then feed the closed-form
-spectrum unchanged.  numpy is imported only by the functions that take
-arrays: the coefficients of one J are plain floats.
+spectrum unchanged.  The module imports no numpy: the coefficients of
+one J are plain floats, centrifugal_strength and effective_coefficients
+take level_table's array of J by duck typing, and the scan helpers take
+any sequence of radii and return lists of floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .potentials import PForm
 from .units import kinetic_factor
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class FactorizationCoefficients(NamedTuple):
@@ -101,64 +100,73 @@ def effective_coefficients(
     )
 
 
+def _positive(r, label: str) -> list[float]:
+    """The radii r as floats; ValueError if one is at or below 0."""
+    r = [float(x) for x in r]
+    if any(x <= 0.0 for x in r):
+        raise ValueError(f"{label} must be positive")
+    return r
+
+
 def centrifugal_approx_error(
     coeffs: FactorizationCoefficients, q: float, u: float, b: float, r_grid
-) -> np.ndarray:
+) -> list[float]:
     """Relative error of the rational approximation of re^2/r^2.
 
-    Returns (approx - exact)/exact on the given radii; independent of J
-    because gamma multiplies both sides.
+    Returns (approx - exact)/exact at each of the given radii; independent
+    of J because gamma multiplies both sides.
     """
-    import numpy as np
-
-    r = np.asarray(r_grid, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radii must be positive")
-    den = np.exp(b * r) + q
-    if np.any(np.abs(den) < 1.0e-12 * np.exp(b * float(np.max(r)))):
+    r = _positive(r_grid, "radii")
+    den = [math.exp(b * x) + q for x in r]
+    near = 1.0e-12 * math.exp(b * max(r, default=0.0))
+    if any(abs(d) < near for d in den):
         raise ValueError("radius too close to a pole of the rational basis")
-    approx = coeffs.C1 + coeffs.C2 / den + coeffs.C3 / den**2
-    exact = (u / b) ** 2 / r**2
-    return (approx - exact) / exact
+    C1, C2, C3 = coeffs
+    re2 = (u / b) ** 2
+    exact = [re2 / (x * x) for x in r]
+    return [(C1 + C2 / d + C3 / (d * d) - e) / e for d, e in zip(den, exact)]
 
 
-def greene_aldrich_approx(lam: float, r) -> np.ndarray:
-    """Exponential-basis approximation lam^2 (1/12 + e^{lam r}/(e^{lam r}-1)^2).
+def greene_aldrich_approx(lam: float, r):
+    """Exponential-basis approximation lam^2 (1/12 + e^{lam r}/(e^{lam r}-1)^2),
+    a float for a number r, else a list.
 
     The standard small-lam*r substitute for 1/r^2; kept as a pointwise
     comparator for the second-order matching above, no spectrum is
     derived from it.
     """
-    import numpy as np
-
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("r must be positive")
-    el = np.exp(lam * r)
-    out = lam**2 * (1.0 / 12.0 + el / (el - 1.0) ** 2)
-    return float(out) if r.ndim == 0 else out
+    if isinstance(r, (int, float)):
+        return greene_aldrich_approx(lam, [r])[0]
+    lam2 = lam**2
+    els = [math.exp(lam * x) for x in _positive(r, "r")]
+    return [lam2 * (1.0 / 12.0 + el / ((el - 1.0) * (el - 1.0))) for el in els]
 
 
-def greene_aldrich_error(lam: float, r) -> np.ndarray:
-    """Relative error of the exponential-basis approximation of 1/r^2."""
-    import numpy as np
+def greene_aldrich_error(lam: float, r):
+    """Relative error of the exponential-basis approximation of 1/r^2, a
+    float for a number r, else a list."""
+    if isinstance(r, (int, float)):
+        return greene_aldrich_error(lam, [r])[0]
+    r = [float(x) for x in r]
+    return [(g - 1.0 / (x * x)) * (x * x)
+            for g, x in zip(greene_aldrich_approx(lam, r), r)]
 
-    r = np.asarray(r, dtype=float)
-    return (greene_aldrich_approx(lam, r) - 1.0 / r**2) * r**2
 
-
-def default_r_grid(re: float, n: int = 200, pole: float | None = None) -> np.ndarray:
+def default_r_grid(re: float, n: int = 200, pole: float | None = None) -> list[float]:
     """Log-spaced radii over [0.6 re, 5 re] for approximation-error scans.
 
-    Points within 1e-6 Angstrom of a pole are dropped.
+    The points of numpy's geomspace: the two ends as given, between them
+    10^(log10(0.6 re) + i step).  Points within 1e-6 Angstrom of a pole
+    are dropped.
     """
-    import numpy as np
-
     if re <= 0.0:
         raise ValueError(f"re must be positive, got {re}")
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n}")
-    grid = np.geomspace(0.6 * re, 5.0 * re, n)
+    lo, hi = 0.6 * re, 5.0 * re
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (n - 1)
+    grid = [lo, *(10.0 ** (i * step + start) for i in range(1, n - 1)), hi]
     if pole is not None:
-        grid = grid[np.abs(grid - pole) > 1.0e-6]
+        grid = [x for x in grid if abs(x - pole) > 1.0e-6]
     return grid

@@ -88,6 +88,10 @@ def _index_error(label: str, value: int) -> str | None:
     return None
 
 
+# the failure of a J whose per-J terms (R^2, 4 Pt2 / k b^2, Pt1) overflow
+_J_BEYOND = "J too large: its centrifugal term J(J+1) hbar^2/(2 mu re^2) overflows"
+
+
 def _failure_text(nu, J, R2: float) -> str:
     """Why the closed form has no level at an in-range (nu, J)."""
     if R2 < 0.0:
@@ -118,26 +122,26 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     """Rows and LevelFailures on the nu x J grid, row-major: the array kernel.
 
     eff holds Pt1..Pt3 as len(J) arrays, so R is per J, q s and E per
-    cell.  A cell fails with the first of its J error, a bad nu, a
-    negative radicand R^2 and q s = 0.  The grid takes three float
-    arrays (q s, bracket, E), each written in place in the order of the
-    closed form's expression, and four bool masks.  The rows are built
+    cell.  A cell fails with the first of its J error (a bad index, or
+    _J_BEYOND), a bad nu, a negative radicand R^2 and q s = 0.  The grid
+    takes three float arrays (q s, bracket, E), each written in place in
+    the order of the closed form's expression, and four bool masks.  The rows are built
     with the garbage collector paused (_collector_paused).
     """
     import numpy as np
 
     nu_errors = [_index_error("nu", nu) for nu in nu_list]
     q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
-    R2 = q**2 + 4.0 * eff.Pt3 / kb2  # per J
-    R = np.sqrt(np.maximum(R2, 0.0))
     # a failed nu's cells are computed at nu = 0 and discarded
     n = 1.0 + 2.0 * np.array([0.0 if e else float(nu)
                               for nu, e in zip(nu_list, nu_errors)])[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R2, p2 = q**2 + 4.0 * eff.Pt3 / kb2, 4.0 * eff.Pt2 / kb2  # per J
+        R = np.sqrt(np.maximum(R2, 0.0))
         qs = R - q * n
         # bracket = (4 Pt2/kb2 + 2 n R - q (1 + n**2)) / (4 q s)
         bracket = np.multiply(2.0 * n, R)
-        np.add(4.0 * eff.Pt2 / kb2, bracket, out=bracket)
+        np.add(p2, bracket, out=bracket)
         np.subtract(bracket, q * (1.0 + n**2), out=bracket)
         E = np.multiply(4.0, qs)
         np.divide(bracket, E, out=bracket)
@@ -146,6 +150,10 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
         np.float_power(bracket, 2.0, out=E)
         np.multiply(kb2, E, out=E)
         np.subtract(eff.Pt1, E, out=E)
+    finite = np.isfinite(R2) & np.isfinite(p2) & np.isfinite(eff.Pt1)
+    if not finite.all():
+        J_errors = [e or (None if ok else _J_BEYOND)
+                    for e, ok in zip(J_errors, finite.tolist())]
     failed = np.equal(qs, 0.0)
     failed |= (R2 < 0.0) | np.array([e is not None for e in J_errors])
     failed[[e is not None for e in nu_errors]] = True
@@ -180,9 +188,10 @@ def _scalar_table(pform: PForm, effs: list[EffectiveCoefficients], nu_list, J_li
     q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
     per_J = []
     for J, J_error, eff in zip(J_list, J_errors, effs):
-        R2 = q**2 + 4.0 * eff.Pt3 / kb2
-        per_J.append((J, J_error, R2, math.sqrt(max(R2, 0.0)), 4.0 * eff.Pt2 / kb2,
-                      eff.Pt1))
+        R2, p2 = q**2 + 4.0 * eff.Pt3 / kb2, 4.0 * eff.Pt2 / kb2
+        if not (math.isfinite(R2) and math.isfinite(p2) and math.isfinite(eff.Pt1)):
+            J_error = J_error or _J_BEYOND
+        per_J.append((J, J_error, R2, math.sqrt(max(R2, 0.0)), p2, eff.Pt1))
     cells, failures = [], []
     for nu in nu_list:
         nu_error = _index_error("nu", nu)
@@ -292,8 +301,9 @@ def level_table(
     MAX_SCALAR_CELLS cells is evaluated cell by cell in plain floats
     (_scalar_table) and imports nothing; a larger one in one numpy pass
     (_table).  Both give the same rows and failures to the last bit.
-    Entries that fail (bad index, negative radicand) are collected as
-    LevelFailure records instead of aborting the table.
+    Entries that fail (bad index, a J whose centrifugal term overflows,
+    negative radicand) are collected as LevelFailure records instead of
+    aborting the table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")
@@ -309,5 +319,7 @@ def level_table(
         return _scalar_table(pform, effs, nu_list, J_list, params.mu, J_errors)
     import numpy as np
 
-    eff = effective_coefficients(pform, coeffs, np.array(J_values), params.mu, params.re)
+    with np.errstate(over="ignore", invalid="ignore"):  # _table fails such a J
+        eff = effective_coefficients(pform, coeffs, np.array(J_values), params.mu,
+                                     params.re)
     return _table(pform, eff, nu_list, J_list, params.mu, J_errors)

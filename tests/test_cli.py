@@ -445,13 +445,14 @@ loaded("converge")
 
 def test_no_command_loads_scipy():
     # a fresh interpreter, so that no other test's imports count; each
-    # line: step, scipy loaded, numpy loaded; levels and morse need no numpy
+    # line: step, scipy loaded, numpy loaded; only compare and converge
+    # need numpy
     proc = fresh_rovib(["-c", FRESH_INTERPRETER])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         "import rovib False False", "import rovib.cli False False",
         "levels False False", "morse False False", "--help False False",
-        "levels False False", "varshni False True", "approx-error False True",
+        "levels False False", "varshni False False", "approx-error False False",
         "compare False True", "converge False True",
     ]
     assert proc.stdout == (

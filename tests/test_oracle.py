@@ -197,13 +197,30 @@ def test_a_level_above_the_well_fails_before_any_basis(db, bases):
 
 
 def test_not_converged_names_the_largest_basis_built(db, bases):
-    # O2 J = 0 nu = 54 stops at 811 -> 1622, as 3244 exceeds the budget
-    # of 2048: the message names 1622, not the budget
+    # O2 J = 0 nu = 54 doubles to 811 -> 1622, as 3244 exceeds a budget
+    # of 2047, then tries the last pair that fits, 1023 -> 2046: the
+    # message names 2046, not the budget
     p = db.get("O2")
     with pytest.raises(ResolutionError, match="not converged") as info:
-        converge(from_params(p), 0, p.mu, 54)
-    assert max(bases) == 1622
-    assert f"within {max(bases)} basis functions" in str(info.value)
+        converge(from_params(p), 0, p.mu, 54, n_points=2047)
+    assert bases[1:] == [811, 1622, 1023, 2046]
+    assert "within 2046 basis functions" in str(info.value)
+
+
+def test_the_last_pair_that_fits_the_budget_is_tried(db, bases):
+    # NO J = 0 nu = 4 within 100 basis functions doubles to 31 -> 62, as
+    # 124 exceeds the budget, and misses there by 1.68e-6 cm^-1; the last
+    # pair that fits, 50 -> 100, converges it to the default budget's level
+    p = db.get("NO")
+    model = from_params(p)
+    small = converge(model, 0, p.mu, 4, n_points=100)
+    assert bases[1:] == [31, 62, 50, 100]
+    assert small.n_points_fine == 100 and small.difference <= DVR_TOL_CM1
+    assert abs(small.extrapolated - converge(model, 0, p.mu, 4).extrapolated) <= 1.0e-6
+    # a level converged at an earlier pair keeps it: nu = 0 at 26 -> 52
+    report = deviation_report(p, [0, 3], [0], n_points=100)
+    assert [(row.nu, row.basis) for row in report.rows] == [(0, 52), (3, 100)]
+    assert report.failures == []
 
 
 def test_converge_reports_unresolvable_grid(db):
@@ -335,17 +352,19 @@ def test_deviation_report_fails_levels_below_the_well(tmp_path):
     ]
 
 
-def test_deviation_report_fails_cells_it_cannot_compare(db):
-    # nu = 80 is beyond NO's bound range; a budget of 100 basis functions
+def test_deviation_report_fails_cells_it_cannot_compare(db, bases):
+    # nu = 80 is beyond NO's bound range; a budget of 56 basis functions
     # resolves nu = 0 but not nu = 3, and nothing larger is built: the
-    # refinement stops at 26 -> 52, as 104 exceeds the budget
+    # refinement doubles to 26 -> 52, as 104 exceeds the budget, then
+    # tries the last pair that fits, 28 -> 56
     p = db.get("NO")
-    report = deviation_report(p, [0, 3, 80], [0], n_points=100)
+    report = deviation_report(p, [0, 3, 80], [0], n_points=56)
+    assert bases == [26, 52, 28, 56]
     assert [(r.nu, r.J) for r in report.rows] == [(0, 0)]
     assert report.rows[0].oracle_err <= DVR_TOL_CM1
-    assert report.rows[0].basis <= 100
+    assert report.rows[0].basis == 52  # converged at 26 -> 52, and kept
     assert [(f.nu, f.J) for f in report.failures] == [(3, 0), (80, 0)]
-    assert "not converged to 1e-06 cm^-1 within 52 basis" in report.failures[0].error
+    assert "not converged to 1e-06 cm^-1 within 56 basis" in report.failures[0].error
     assert report.failures[1].error == "beyond the bound range; no oracle level"
 
     report = deviation_report(p, [0, 3, 80], [0], n_points=10**6)

@@ -25,6 +25,7 @@ from rovib.potentials import (
 from rovib.units import kinetic_factor
 
 from reference_levels import PUBLISHED_PARAMS
+from test_spectrum import physical_params
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,93 @@ def test_pole_rejection():
     with pytest.raises(SingularRadiusError):
         evaluate(model, np.array([0.5, pole + 1.0e-10, 2.0]))
     assert math.isfinite(evaluate(model, pole + 1.0e-3))
+
+
+def _paths(model, r):
+    """evaluate at r by its float path and by its array path: each the
+    value, or the type and text of the ValueError it raised."""
+    out = []
+    for arg in (r, np.array([r])):
+        try:
+            value = evaluate(model, arg)
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(value if isinstance(value, float) else float(value[0]))
+    return out
+
+
+def _exp_band(model, r, U):
+    """2 ulp of U plus 2 ulp of y = e^{-b (r - re)} carried through dU/dy.
+
+    The two paths differ only in exp: libm's and numpy's round a few % of
+    arguments 1 ulp apart.  Near re, where 1 - y cancels, that ulp of y
+    is hundreds of ulp of U (689 at worst for NO), so a plain ulp bound on
+    U cannot hold there.
+    """
+    y = math.exp(-model.b * (r - model.re))
+    d = 1.0 - model.eta * y
+    dU_dy = 2.0 * model.De * (1.0 - y) * (model.eta - 1.0) / d**3
+    return 2.0 * math.ulp(U) + 2.0 * abs(dU_dy) * math.ulp(y)
+
+
+def _paths_agree(model, r) -> bool:
+    """Both paths raise the same error, or give values within _exp_band;
+    True if the values are the same float."""
+    scalar, array = _paths(model, r)
+    if isinstance(scalar, tuple) or isinstance(array, tuple):
+        assert scalar == array
+        return True
+    assert type(scalar) is float
+    assert abs(scalar - array) <= _exp_band(model, r, array), (r, scalar, array)
+    return scalar == array
+
+
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_float_path_matches_array_path(db, name):
+    model = from_params(db.get(name))
+    re, h = model.re, 1.0e-4 * model.re
+    radii = [*np.geomspace(0.3 * re, 20.0 * re, 801).tolist(),
+             *(re + i * h for i in (-2, -1, 0, 1, 2))]  # verify_varshni's stencil
+    same = sum(_paths_agree(model, r) for r in radii)
+    assert same >= 0.9 * len(radii)  # most radii agree to the last bit
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=physical_params, x=st.floats(0.05, 50.0))
+def test_float_path_matches_array_path_on_drawn_molecules(p, x):
+    _paths_agree(from_params(p), x * p.re)
+
+
+def test_float_path_raises_what_the_array_path_raises():
+    model = TietzHua(De=5.0e4, re=1.2, b=2.6, eta=0.9)
+    pole = pole_radius(model.b, model.q)
+    for r in (0.0, -1.0, -math.inf, 0, -3, pole, pole + 5.0e-10, pole - 5.0e-10):
+        scalar, array = _paths(model, r)
+        assert isinstance(scalar, tuple) and scalar == array
+    assert _paths(model, pole)[0][0] is SingularRadiusError
+
+
+def test_float_path_lets_no_zero_division_or_overflow_escape():
+    # 1 - eta y rounds to 0 more than 1e-9 A from the pole (numpy: x / 0)
+    flat = TietzHua(De=1.0, re=2.0, b=1.0e-8, eta=1.0 - 2.0**-53)
+    assert abs(1.99999998 - pole_radius(flat.b, flat.q)) > 1.0e-9
+    # the quotient's square is past float range
+    steep = TietzHua(De=1.0, re=7.0, b=100.0, eta=1.0e-200)
+    # e^{-b (r - re)} is past float range (b < 0): numpy's inf gives nan
+    reversed_ = TietzHua(De=1.0, re=1.0, b=-1.0, eta=0.5)
+    for model, r in ((flat, 1.99999998), (steep, 0.01), (reversed_, 1000.0)):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            array = float(evaluate(model, np.array([r]))[0])
+        assert not math.isfinite(array)
+        assert repr(evaluate(model, r)) == repr(array)
+    # an int is its float; one past float range lies far out, as inf does
+    morse = TietzHua(De=5.0e4, re=1.2, b=2.6, eta=0.0)
+    assert evaluate(morse, 3) == evaluate(morse, 3.0)
+    assert evaluate(morse, 10**400) == evaluate(morse, math.inf) == 5.0e4
+    with pytest.raises(ValueError, match="r must be positive"):
+        evaluate(morse, -(10**400))
+    assert math.isnan(evaluate(morse, math.nan))
 
 
 def test_no_pole_for_bundled_molecules(db):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rovib.potentials import derive, from_params, to_pform
+from rovib.potentials import derive, from_params, pole_radius, to_pform
 from rovib.rotational import (
     badawi_coefficients,
     centrifugal_approx_error,
@@ -14,6 +16,8 @@ from rovib.rotational import (
     greene_aldrich_error,
 )
 from rovib.units import kinetic_factor
+
+from test_spectrum import physical_params
 
 # expansion coefficients for the bundled parameter sets, frozen from the
 # closed forms after they were cross-checked against the matching oracle
@@ -194,16 +198,91 @@ def test_rational_beats_exponential_at_minimum(db):
 
 def test_default_r_grid():
     grid = default_r_grid(1.2, 50)
-    assert grid.size == 50
+    assert type(grid) is list and len(grid) == 50
     assert grid[0] == pytest.approx(0.72, rel=1.0e-12)
     assert grid[-1] == pytest.approx(6.0, rel=1.0e-12)
-    dropped = default_r_grid(1.2, 50, pole=float(grid[10]))
-    assert dropped.size == 49
-    assert np.min(np.abs(dropped - grid[10])) > 1.0e-6
+    dropped = default_r_grid(1.2, 50, pole=grid[10])
+    assert type(dropped) is list and len(dropped) == 49
+    assert min(abs(r - grid[10]) for r in dropped) > 1.0e-6
     with pytest.raises(ValueError):
         default_r_grid(0.0, 50)
     with pytest.raises(ValueError):
         default_r_grid(1.2, 1)
+
+
+# the numpy expressions the plain-float scan helpers replaced
+
+
+def numpy_r_grid(re, n, pole=None):
+    grid = np.geomspace(0.6 * re, 5.0 * re, n)
+    return grid if pole is None else grid[np.abs(grid - pole) > 1.0e-6]
+
+
+def numpy_approx_error(coeffs, q, u, b, r):
+    den = np.exp(b * r) + q
+    approx = coeffs.C1 + coeffs.C2 / den + coeffs.C3 / den**2
+    exact = (u / b) ** 2 / r**2
+    return (approx - exact) / exact
+
+
+def numpy_greene_aldrich(lam, r):
+    el = np.exp(lam * r)
+    return lam**2 * (1.0 / 12.0 + el / (el - 1.0) ** 2)
+
+
+def _matches_numpy(params, n):
+    d, co = _coeffs(params)
+    pole = pole_radius(d.b, d.q)
+    grid = default_r_grid(params.re, n, pole=pole)
+    reference = numpy_r_grid(params.re, n, pole=pole)
+    assert type(grid) is list and len(grid) == reference.size
+    assert grid[0] == reference[0] and grid[-1] == reference[-1]  # exact ends
+    r = np.array(grid)
+    assert np.allclose(r, reference, rtol=1.0e-13, atol=0.0)
+    rational = np.array(centrifugal_approx_error(co, d.q, d.u, d.b, grid))
+    rational_ref = numpy_approx_error(co, d.q, d.u, d.b, r)
+    # each error is approx / exact - 1 in effect, so the radii's and exp's
+    # last-bit differences reach it as a few 1e-16 absolute: noise in its
+    # leading digits near re, rel 1e-13 where it reaches 1e-2
+    assert _close_away_from_noise(rational, rational_ref)
+    approx = np.array(greene_aldrich_approx(d.b, grid))
+    assert np.allclose(approx, numpy_greene_aldrich(d.b, r), rtol=1.0e-13, atol=0.0)
+    error = np.array(greene_aldrich_error(d.b, grid))
+    error_ref = (numpy_greene_aldrich(d.b, r) - 1.0 / r**2) * r**2
+    assert _close_away_from_noise(error, error_ref)
+
+
+def _close_away_from_noise(values, reference) -> bool:
+    """|values - reference| <= 1e-15 + 1e-13 |reference|: the absolute term
+    rules near re, where the error is noise, the relative one once the
+    error passes 1e-2."""
+    return np.allclose(values, reference, rtol=1.0e-13, atol=1.0e-15)
+
+
+@pytest.mark.parametrize("n", [2, 20, 200, 4001])
+def test_scan_helpers_match_their_numpy_expressions(db, n):
+    for name in db.names:
+        _matches_numpy(db.get(name), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=physical_params, n=st.integers(2, 400))
+def test_scan_helpers_match_their_numpy_expressions_on_drawn_molecules(p, n):
+    _matches_numpy(p, n)
+
+
+def test_scan_helpers_return_floats():
+    lam = 1.3
+    assert type(greene_aldrich_approx(lam, 1.0)) is float
+    assert type(greene_aldrich_approx(lam, 2)) is float
+    assert type(greene_aldrich_error(lam, 1.0)) is float
+    assert greene_aldrich_error(lam, 1.0) == greene_aldrich_error(lam, [1.0])[0]
+    for values in (greene_aldrich_approx(lam, (1.0, 2.0)),
+                   greene_aldrich_error(lam, np.array([1.0, 2.0])),
+                   default_r_grid(1.2, 5)):
+        assert type(values) is list and {type(x) for x in values} == {float}
+    co = badawi_coefficients(3.0, 0.05)
+    assert centrifugal_approx_error(co, -0.05 * math.exp(3.0), 3.0, 2.5, []) == []
 
 
 def test_badawi_domain():

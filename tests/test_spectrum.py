@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from rovib.rotational import badawi_coefficients, effective_coefficients
 from rovib.spectrum import (
     MAX_SCALAR_CELLS,
     EnergyLevel,
+    LevelFailure,
     SusyIntermediates,
     level,
     level_table,
@@ -435,6 +437,24 @@ def test_indices_beyond_float_range_fail_like_any_bad_index(db):
             level(p, 0, huge)
         with pytest.raises(ValueError, match="nu must be .* beyond float range"):
             morse_vibrational_energy(p.De, p.we, huge)
+
+
+@pytest.mark.parametrize("J", [10**200, 1.0e200, 10**155])
+def test_a_J_whose_centrifugal_term_overflows_fails_as_beyond_range(db, J):
+    # J(J+1) hbar^2/(2 mu re^2) past float range used to fail as "no real
+    # solution: discriminant -inf" with every digit of J (C3 < 0), or give
+    # a nan row (N2, C3 > 0), and warn of overflow in the array kernel
+    want = "J too large: its centrifugal term J(J+1) hbar^2/(2 mu re^2) overflows"
+    for name in db.names:
+        p = db.get(name)
+        assert level_table(p, [0], [J]) == ([], [LevelFailure(0, J, want)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, failures = level_table(p, list(range(150)), [0, J])  # 300 cells
+        assert rows == level_table(p, list(range(150)), [0])[0]
+        assert failures == [LevelFailure(nu, J, want) for nu in range(150)]
+        with pytest.raises(ValueError, match=r"^J too large: "):
+            level(p, 0, J)
 
 
 def _scalar_energy(params, nu, J):
