@@ -38,7 +38,7 @@ def main():
         for factor in (1.0, 1.1, 1.3, 2.0):
             r = factor * params.re
             rational = centrifugal_approx_error(coeffs, d.q, d.u, d.b, [r])[0]
-            exponential = greene_aldrich_error(d.b, r)
+            exponential = greene_aldrich_error(d.b, [r])[0]
             print(f"{name:>9} {factor:>10.1f}re {rational:12.3e} "
                   f"{exponential:12.3e}")
 

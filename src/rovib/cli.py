@@ -1,12 +1,14 @@
 """
 cli.py
 
-Command line front end.  The table commands (levels, morse, compare and
-approx-error's csv) build row dicts and print them through _render: text
-and csv print the table's columns, json dumps the rows whole.  Every
-other output (compare's summary, approx-error's json, varshni's report)
-is described once, by its json keys, and each format is derived from
-that description.
+Command line front end.  Every command describes its output once and
+prints it with one _emit call, in each of text, csv and json: a table
+(columns of (key, text spec or None, csv spec) over row dicts, plus a
+text mark per row) and report entries ((json key or None, value, text
+line or None)).  A command adds a column by adding it to its columns
+and its row dicts.  The json shapes are those the commands have always
+printed: levels and morse a bare list of rows, compare, varshni and
+approx-error one object of their entries.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
 database, bad index syntax, a request above MAX_INDICES, MAX_INDEX,
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Sequence
 from itertools import zip_longest
 
 import click
@@ -120,29 +121,36 @@ UNITS = {
 MOLECULE_NU_J = (("molecule", "<10", ""), ("nu", ">4", ""), ("J", ">4", ""))
 
 
-def _render(
-    fmt: str, columns: Sequence[tuple[str, str | None, str]], rows: list[dict],
-    marks: Sequence[str] = (),
-) -> str:
-    """Rows as a text table (each line ending in its mark), csv, or json;
-    json dumps the row dicts whole, keys outside the columns too."""
+def _emit(fmt: str, columns=(), rows=(), marks=(), entries=(), failures=(),
+          warnings=()) -> None:
+    """Print one command's output in fmt, then warnings and failures to
+    stderr; failures set exit code 3.
+
+    The table is columns of (key, text spec or None, csv spec) over row
+    dicts, with one text mark per row; entries are the report's (json
+    key or None, value, text line or None).  text prints the columns
+    that have a text spec (none: no table), each row with its mark, then
+    the entries' lines; csv prints every column; json dumps the entries
+    with a key as one object or, with no entries, the row dicts whole.
+    """
     if fmt == "json":
-        return json.dumps(rows, indent=2)
-    if fmt == "csv":
-        lines = [",".join(key for key, _, _ in columns)]
-        lines += [",".join(format(row[key], spec) for key, _, spec in columns)
-                  for row in rows]
+        report = {key: value for key, value, _ in entries if key is not None}
+        out = json.dumps(report if entries else rows, indent=2)
     else:
-        lines = ["".join(format(key, spec.split(".")[0]) for key, spec, _ in columns)]
-        lines += ["".join(format(row[key], spec) for key, spec, _ in columns) + mark
-                  for row, mark in zip_longest(rows, marks, fillvalue="")]
-    return "\n".join(lines)
-
-
-def _emit(text: str, failures: list[str], warnings: Sequence[str] = ()) -> None:
-    """Print the output, then warnings and failures to stderr; failures
-    set exit code 3."""
-    click.echo(text)
+        text = fmt == "text"
+        sep, marks = ("", marks) if text else (",", ())
+        cells = [(key, spec) for key, text_spec, csv_spec in columns
+                 if (spec := text_spec if text else csv_spec) is not None]
+        lines = []
+        if cells:  # the header takes each spec's width
+            lines.append(sep.join(format(key, spec.split(".")[0])
+                                  for key, spec in cells))
+            lines += [sep.join(format(row[key], spec) for key, spec in cells) + mark
+                      for row, mark in zip_longest(rows, marks, fillvalue="")]
+        if text:
+            lines += [line for _, _, line in entries if line is not None]
+        out = "\n".join(lines)
+    click.echo(out)
     for line in [*warnings, *failures]:
         click.echo(line, err=True)
     if failures:
@@ -198,17 +206,12 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
              col: convert(row.E, params.De), "bound": row.bound} for row in table]
     marks = ["" if row.bound else "  (beyond bound range)" for row in table]
     unbound = sum(not row.bound for row in table)
-    warnings = []
-    if unbound and fmt == "csv":  # text marks them, json has bound
-        warnings.append(
-            f"warning: {unbound} of {len(rows)} rows lie beyond the bound range; "
-            f"their {col} is not a bound level"
-        )
-    _emit(
-        _render(fmt, [*MOLECULE_NU_J, (col, ">18.4f", csv_spec)], rows, marks),
-        [f"error: nu={f.nu} J={f.J}: {f.error}" for f in failures],
-        warnings,
-    )
+    warnings = [  # text marks them, json has bound
+        f"warning: {unbound} of {len(rows)} rows lie beyond the bound range; "
+        f"their {col} is not a bound level"] if unbound and fmt == "csv" else []
+    _emit(fmt, [*MOLECULE_NU_J, (col, ">18.4f", csv_spec)], rows, marks,
+          failures=[f"error: nu={f.nu} J={f.J}: {f.error}" for f in failures],
+          warnings=warnings)
 
 
 @cli.command()
@@ -251,23 +254,17 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
              "E_oracle_cm1": row.E_oracle, "delta_cm1": row.delta,
              "oracle_err_cm1": row.oracle_err, "basis": row.basis}
             for row in report.rows]
-    # json key: (text label, value); with no row compared, json has null
-    # and text no summary line
-    summary = {"max_abs_delta_cm1": ("max|delta|", report.max_abs_delta),
-               "mean_delta_cm1": ("mean delta", report.mean_delta)}
-    if fmt == "json":
-        text = json.dumps({"molecule": molecule, "rows": rows, **{
-            key: value if rows else None for key, (_, value) in summary.items()
-        }}, indent=2)
-    else:
-        text = _render(fmt, [
-            *MOLECULE_NU_J, ("E_cm1", ">16.4f", ".6f"),
-            ("E_oracle_cm1", ">16.4f", ".6f"), ("delta_cm1", ">12.4f", ".6f"),
-        ], [{"molecule": molecule, **row} for row in rows])
-    if fmt == "text" and rows:
-        text += "\n" + ", ".join(f"{label} = {value:.4f} cm^-1"
-                                 for label, value in summary.values())
-    _emit(text, [f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures])
+    # with no row compared, json has null and text no summary line
+    max_abs, mean = (report.max_abs_delta, report.mean_delta) if rows else (None, None)
+    summary = (f"max|delta| = {max_abs:.4f} cm^-1, mean delta = {mean:.4f} cm^-1"
+               if rows else None)
+    _emit(fmt, [*MOLECULE_NU_J, ("E_cm1", ">16.4f", ".6f"),
+                ("E_oracle_cm1", ">16.4f", ".6f"), ("delta_cm1", ">12.4f", ".6f")],
+          [{"molecule": molecule, **row} for row in rows],
+          entries=[("molecule", molecule, None), ("rows", rows, None),
+                   ("max_abs_delta_cm1", max_abs, summary),
+                   ("mean_delta_cm1", mean, None)],
+          failures=[f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures])
 
 
 @cli.command()
@@ -342,13 +339,11 @@ def varshni(molecule, fmt, db) -> None:
         ("alpha_w_as_published_inv_A", published, notes["as_published"]),
         ("alpha_w_difference_inv_A", difference, difference_note),
     ]
-    if fmt == "json":
-        text = json.dumps({key: value for key, value, _ in entries}, indent=2)
-    else:
-        labels = {"dU_at_re_rel": "dU_at_re (rel to De/re)"}
-        text = "\n".join(f"{labels.get(key, key):<29}{note}"
-                         for key, _, note in entries if note is not None)
-    _emit(text, [f"error: alpha_w_corrected: {notes['corrected']}"]
+    labels = {"dU_at_re_rel": "dU_at_re (rel to De/re)"}
+    _emit(fmt, entries=[(key, value, None if note is None
+                         else f"{labels.get(key, key):<29}{note}")
+                        for key, value, note in entries],
+          failures=[f"error: alpha_w_corrected: {notes['corrected']}"]
           if corrected is None else [])
 
 
@@ -378,8 +373,8 @@ def morse(molecule, nu_spec, unit, fmt, db) -> None:
             failures.append(f"error: nu={nu}: {exc}")
         else:
             rows.append({"molecule": molecule, "nu": nu, col: convert(E, params.De)})
-    _emit(_render(fmt, [*MOLECULE_NU_J[:2], (col, ">18.4f", csv_spec)], rows),
-          failures)
+    _emit(fmt, [*MOLECULE_NU_J[:2], (col, ">18.4f", csv_spec)], rows,
+          failures=failures)
 
 
 @cli.command("approx-error")
@@ -405,38 +400,30 @@ def approx_error(molecule, points, fmt, db) -> None:
         coeffs = badawi_coefficients(derived.u, params.eta)
         pole = pole_radius(derived.b, derived.q)
         radii = default_r_grid(params.re, points, pole=pole)
-        rational = centrifugal_approx_error(
-            coeffs, derived.q, derived.u, derived.b, radii
-        )
-        exponential = greene_aldrich_error(derived.b, radii)
-        # key: (values, csv spec)
-        columns = {"r_A": (radii, ".6f"), "rational_rel_err": (rational, ".6e"),
-                   "exponential_rel_err": (exponential, ".6e")}
-        if fmt == "csv":
-            text = _render(
-                fmt, [(key, None, spec) for key, (_, spec) in columns.items()],
-                [dict(zip(columns, row))
-                 for row in zip(*(values for values, _ in columns.values()))])
-        elif fmt == "json":
-            text = json.dumps({"molecule": molecule, **{
-                key: values for key, (values, _) in columns.items()}}, indent=2)
-        else:
-            at_re_rational = centrifugal_approx_error(
-                coeffs, derived.q, derived.u, derived.b, [params.re]
-            )[0]
-            at_re_exponential = greene_aldrich_error(derived.b, params.re)
-            text = "\n".join([
-                f"molecule {molecule}: centrifugal approximation error, "
-                f"{len(radii)} radii in [{radii[0]:.3f}, {radii[-1]:.3f}] A",
-                f"max |rational|    = {max(map(abs, rational)):.3e}",
-                f"max |exponential| = {max(map(abs, exponential)):.3e}",
-                f"at re: rational {at_re_rational:.3e}, "
-                f"exponential {at_re_exponential:.3e}",
-            ])
+        scan = [*radii, params.re]  # each error is pointwise: the radii, then re
+        *rational, rational_at_re = centrifugal_approx_error(
+            coeffs, derived.q, derived.u, derived.b, scan)
+        *exponential, exponential_at_re = greene_aldrich_error(derived.b, scan)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_COMPUTE)
-    click.echo(text)
+    # the table is csv only, so its rows are a generator that only csv
+    # runs: text prints the summary lines, json the columns
+    _emit(fmt, [("r_A", None, ".6f"), ("rational_rel_err", None, ".6e"),
+                ("exponential_rel_err", None, ".6e")],
+          ({"r_A": r, "rational_rel_err": a, "exponential_rel_err": g}
+           for r, a, g in zip(radii, rational, exponential)),
+          entries=[
+              ("molecule", molecule, f"molecule {molecule}: centrifugal approximation "
+               f"error, {len(radii)} radii in [{radii[0]:.3f}, {radii[-1]:.3f}] A"),
+              ("r_A", radii, None),
+              ("rational_rel_err", rational,
+               f"max |rational|    = {max(map(abs, rational)):.3e}"),
+              ("exponential_rel_err", exponential,
+               f"max |exponential| = {max(map(abs, exponential)):.3e}"),
+              (None, None, f"at re: rational {rational_at_re:.3e}, "
+               f"exponential {exponential_at_re:.3e}"),
+          ])
 
 
 def main() -> None:

@@ -113,40 +113,38 @@ def centrifugal_approx_error(
 ) -> list[float]:
     """Relative error of the rational approximation of re^2/r^2.
 
-    Returns (approx - exact)/exact at each of the given radii; independent
-    of J because gamma multiplies both sides.
+    Returns (approx - exact)/exact at each of the given radii, each
+    computed on its own; independent of J because gamma multiplies both
+    sides.  A radius where |1 + q e^{-b r}| < 1e-12, the basis
+    denominator e^{b r} + q within 1e-12 e^{b r} of 0, raises ValueError.
     """
     r = _positive(r_grid, "radii")
-    den = [math.exp(b * x) + q for x in r]
-    near = 1.0e-12 * math.exp(b * max(r, default=0.0))
-    if any(abs(d) < near for d in den):
+    ebr = [math.exp(b * x) for x in r]
+    if any(abs(1.0 + q / e) < 1.0e-12 for e in ebr):
         raise ValueError("radius too close to a pole of the rational basis")
+    den = [e + q for e in ebr]
     C1, C2, C3 = coeffs
     re2 = (u / b) ** 2
     exact = [re2 / (x * x) for x in r]
     return [(C1 + C2 / d + C3 / (d * d) - e) / e for d, e in zip(den, exact)]
 
 
-def greene_aldrich_approx(lam: float, r):
-    """Exponential-basis approximation lam^2 (1/12 + e^{lam r}/(e^{lam r}-1)^2),
-    a float for a number r, else a list.
+def greene_aldrich_approx(lam: float, r) -> list[float]:
+    """Exponential-basis approximation lam^2 (1/12 + e^{lam r}/(e^{lam r}-1)^2)
+    at each of the radii r.
 
     The standard small-lam*r substitute for 1/r^2; kept as a pointwise
     comparator for the second-order matching above, no spectrum is
     derived from it.
     """
-    if isinstance(r, (int, float)):
-        return greene_aldrich_approx(lam, [r])[0]
     lam2 = lam**2
     els = [math.exp(lam * x) for x in _positive(r, "r")]
     return [lam2 * (1.0 / 12.0 + el / ((el - 1.0) * (el - 1.0))) for el in els]
 
 
-def greene_aldrich_error(lam: float, r):
-    """Relative error of the exponential-basis approximation of 1/r^2, a
-    float for a number r, else a list."""
-    if isinstance(r, (int, float)):
-        return greene_aldrich_error(lam, [r])[0]
+def greene_aldrich_error(lam: float, r) -> list[float]:
+    """Relative error of the exponential-basis approximation of 1/r^2 at
+    each of the radii r."""
     r = [float(x) for x in r]
     return [(g - 1.0 / (x * x)) * (x * x)
             for g, x in zip(greene_aldrich_approx(lam, r), r)]

@@ -88,6 +88,17 @@ def _index_error(label: str, value: int) -> str | None:
     return None
 
 
+def _nu_error(nu, q: float, kb2: float) -> str | None:
+    """_index_error for nu, or the failure of a nu whose terms q (1 + n^2)
+    and k b^2 n^2, n = 1 + 2 nu, overflow (its levels would be -inf)."""
+    if error := _index_error("nu", nu):
+        return error
+    n = 1.0 + 2.0 * float(nu)
+    if math.isfinite(q * (1.0 + n * n)) and math.isfinite(kb2 * n * n):
+        return None
+    return "nu too large: (1 + 2 nu)^2 overflows the closed form"
+
+
 # the failure of a J whose per-J terms (R^2, 4 Pt2 / k b^2, Pt1) overflow
 _J_BEYOND = "J too large: its centrifugal term J(J+1) hbar^2/(2 mu re^2) overflows"
 
@@ -123,15 +134,16 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
 
     eff holds Pt1..Pt3 as len(J) arrays, so R is per J, q s and E per
     cell.  A cell fails with the first of its J error (a bad index, or
-    _J_BEYOND), a bad nu, a negative radicand R^2 and q s = 0.  The grid
-    takes three float arrays (q s, bracket, E), each written in place in
-    the order of the closed form's expression, and four bool masks.  The rows are built
-    with the garbage collector paused (_collector_paused).
+    _J_BEYOND), its nu error (_nu_error), a negative radicand R^2 and
+    q s = 0.  The grid takes three float arrays (q s, bracket, E), each
+    written in place in the order of the closed form's expression, and
+    four bool masks.  The rows are built with the garbage collector
+    paused (_collector_paused).
     """
     import numpy as np
 
-    nu_errors = [_index_error("nu", nu) for nu in nu_list]
     q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
+    nu_errors = [_nu_error(nu, q, kb2) for nu in nu_list]
     # a failed nu's cells are computed at nu = 0 and discarded
     n = 1.0 + 2.0 * np.array([0.0 if e else float(nu)
                               for nu, e in zip(nu_list, nu_errors)])[:, None]
@@ -194,7 +206,7 @@ def _scalar_table(pform: PForm, effs: list[EffectiveCoefficients], nu_list, J_li
         per_J.append((J, J_error, R2, math.sqrt(max(R2, 0.0)), p2, eff.Pt1))
     cells, failures = [], []
     for nu in nu_list:
-        nu_error = _index_error("nu", nu)
+        nu_error = _nu_error(nu, q, kb2)
         n = 1.0 + 2.0 * (0.0 if nu_error else float(nu))
         qn, two_n, q_n2 = q * n, 2.0 * n, q * (1.0 + n * n)
         for J, J_error, R2, R, p2, Pt1 in per_J:
@@ -302,8 +314,8 @@ def level_table(
     (_scalar_table) and imports nothing; a larger one in one numpy pass
     (_table).  Both give the same rows and failures to the last bit.
     Entries that fail (bad index, a J whose centrifugal term overflows,
-    negative radicand) are collected as LevelFailure records instead of
-    aborting the table.
+    a nu whose (1 + 2 nu)^2 overflows, negative radicand) are collected
+    as LevelFailure records instead of aborting the table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")

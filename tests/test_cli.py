@@ -287,6 +287,20 @@ def test_morse_row_prints_levels(runner, tmp_path):
     assert len(result.stdout.splitlines()) == 13
 
 
+def test_approx_error_without_a_pole_exits_0(runner, tmp_path):
+    # eta = 0 has no pole, but with b re = 6.4 the pole test scaled by the
+    # largest radius rejected the scan: "radius too close to a pole", exit 3
+    custom = tmp_path / "custom.txt"
+    custom.write_text(f"{HEADER}\nX 0 1.249 2.0 1.6 2.7534 53341.0 1904.2\n")
+    for fmt in ("text", "csv", "json"):
+        result = runner.invoke(
+            cli, ["approx-error", "X", "--format", fmt, "--db", str(custom)]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr == ""
+    assert len(json.loads(result.stdout)["rational_rel_err"]) == 200
+
+
 def test_index_list_cap_counts_spans_before_expanding():
     assert len(parse_index_list(f"0..{MAX_INDICES - 1}", "--nu")) == MAX_INDICES
     for text in (f"0..{MAX_INDICES}", f"5,0..{MAX_INDICES - 1}",

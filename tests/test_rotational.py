@@ -174,16 +174,47 @@ def test_expansion_error_rejects_poles():
         centrifugal_approx_error(co, q, u, b, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("eta", [0.9, 0.05])
+def test_expansion_error_pole_threshold_is_per_radius(eta):
+    # the test is |1 + q e^{-b r}| < 1e-12 at each radius: 1.05e-12 passes
+    # and 0.95e-12 fails, with a radius far out in the same call (scaling
+    # the threshold by e^{b max r} failed both)
+    re, b = 1.2, 2.6
+    u = b * re
+    q = -eta * math.exp(u)
+    co = badawi_coefficients(u, eta)
+    far = 5.0 * re
+    for delta, fails in ((1.05e-12, False), (0.95e-12, True)):
+        r = (math.log(-q) - math.log1p(-delta)) / b  # 1 + q e^{-b r} = delta
+        assert abs(1.0 + q * math.exp(-b * r) - delta) < 1.0e-15
+        if fails:
+            with pytest.raises(ValueError, match="too close to a pole"):
+                centrifugal_approx_error(co, q, u, b, [r, far])
+        else:
+            assert len(centrifugal_approx_error(co, q, u, b, [r, far])) == 2
+
+
+def test_expansion_error_without_a_pole_scans_any_grid():
+    # eta = 0 has no pole: b re = 6.4 used to fail the default grid, as
+    # e^{b r} at 0.6 re fell below 1e-12 e^{b 5 re}
+    re, b, eta = 1.6, 4.0, 0.0
+    co = badawi_coefficients(b * re, eta)
+    grid = default_r_grid(re, 200)
+    errors = centrifugal_approx_error(co, 0.0, b * re, b, grid)
+    assert len(errors) == 200 and all(math.isfinite(x) for x in errors)
+    assert abs(centrifugal_approx_error(co, 0.0, b * re, b, [re])[0]) < 1.0e-12
+
+
 def test_exponential_comparator():
-    assert greene_aldrich_approx(1.0, 1.0) == pytest.approx(
+    assert greene_aldrich_approx(1.0, [1.0])[0] == pytest.approx(
         1.0040069275411256, rel=1.0e-12
     )
     # small-argument regime: good to a few 1e-5 at lam r = 0.01
     assert abs(float(greene_aldrich_error(0.01, np.array([1.0]))[0])) < 1.0e-4
     with pytest.raises(ValueError):
-        greene_aldrich_approx(1.0, 0.0)
+        greene_aldrich_approx(1.0, [0.0])
     with pytest.raises(ValueError):
-        greene_aldrich_approx(1.0, -1.0)
+        greene_aldrich_approx(1.0, [-1.0])
 
 
 def test_rational_beats_exponential_at_minimum(db):
@@ -273,10 +304,11 @@ def test_scan_helpers_match_their_numpy_expressions_on_drawn_molecules(p, n):
 
 def test_scan_helpers_return_floats():
     lam = 1.3
-    assert type(greene_aldrich_approx(lam, 1.0)) is float
-    assert type(greene_aldrich_approx(lam, 2)) is float
-    assert type(greene_aldrich_error(lam, 1.0)) is float
-    assert greene_aldrich_error(lam, 1.0) == greene_aldrich_error(lam, [1.0])[0]
+    assert type(greene_aldrich_approx(lam, [1.0])[0]) is float
+    assert type(greene_aldrich_approx(lam, [2])[0]) is float
+    assert type(greene_aldrich_error(lam, [1.0])[0]) is float
+    # each radius on its own: a one-element list gives the element's value
+    assert greene_aldrich_error(lam, [1.0]) == greene_aldrich_error(lam, [3.0, 1.0])[1:]
     for values in (greene_aldrich_approx(lam, (1.0, 2.0)),
                    greene_aldrich_error(lam, np.array([1.0, 2.0])),
                    default_r_grid(1.2, 5)):

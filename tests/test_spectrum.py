@@ -107,8 +107,10 @@ def test_ground_state_wavefunction_fixtures(db):
     p = db.get("NO")
     pf, eff = _pipeline(p, 0)
     s = susy_intermediates(pf, eff, p.mu)
-    assert math.exp(log_wavefunction(s, pf, p.re)) == pytest.approx(
-        1.1650037309699278e-101, rel=1.0e-6
+    # ln psi itself: psi(re) = 1.165e-101 sits below approx's default
+    # abs=1e-12, which would pass any value that small
+    assert log_wavefunction(s, pf, p.re) == pytest.approx(
+        -232.40837010283562, rel=1.0e-12
     )
     assert log_wavefunction(s, pf, 20.0 * p.re) == pytest.approx(
         -3519.663883703181, rel=1.0e-9
@@ -457,6 +459,22 @@ def test_a_J_whose_centrifugal_term_overflows_fails_as_beyond_range(db, J):
             level(p, 0, J)
 
 
+@pytest.mark.parametrize("nu", [10**200, 1.0e200, 10**160, 6.6e153, 3.7e153])
+def test_a_nu_whose_square_overflows_fails_as_beyond_range(db, nu):
+    # (1 + 2 nu)^2, or q or k b^2 times it, past float range gave every
+    # level of the nu at E = -inf (NO from nu = 6.6e153, eta = 0 from 3.7e153)
+    want = "nu too large: (1 + 2 nu)^2 overflows the closed form"
+    for p in [*map(db.get, db.names), _near_morse(0.0), _near_morse(-0.05)]:
+        assert level_table(p, [nu], [0]) == ([], [LevelFailure(nu, 0, want)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, failures = level_table(p, [0, nu], list(range(150)))  # 300 cells
+        assert rows == level_table(p, [0], list(range(150)))[0]
+        assert failures == [LevelFailure(nu, J, want) for J in range(150)]
+        with pytest.raises(ValueError, match=r"^nu too large: "):
+            level(p, nu, 0)
+
+
 def _scalar_energy(params, nu, J):
     """E and bound from the per-level closed form in plain Python floats,
     with the operation order of the array kernel; None where the cell
@@ -560,11 +578,12 @@ def test_kernels_agree_bit_for_bit_on_the_bundled_molecules(db, monkeypatch):
 def test_kernels_agree_past_overflow(db, monkeypatch):
     # N2 at J = 1e140 with n q just short of R: q s is tiny, bracket is
     # finite at 2.3e154 and its square overflows (float ** raises, pow
-    # gives inf); at nu = 1e160 n^2 itself overflows, at q = 0 to nan
+    # gives inf); at nu = 1e160 n^2 itself overflows, and the nu fails
     nu_list, J_list = [0, int(1.298472335684575e140), 10**160], [0, 10**140]
     scalar, array = _both_kernels(monkeypatch, db.get("N2"), nu_list, J_list)
     assert scalar == array
-    assert scalar[0].count("E=-inf") == 3
+    assert scalar[0].count("E=-inf") == 1
+    assert scalar[1].count("nu too large") == 2
     for eta in (0.0, 1.0e-15, -0.05):
         scalar, array = _both_kernels(monkeypatch, _near_morse(eta),
                                       [0, 3, 10**160, 2**53], [0, 7, 2**40])
