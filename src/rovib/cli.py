@@ -1,14 +1,18 @@
 """
 cli.py
 
-Command line front end.  Every command describes its output once and
-prints it with one _emit call, in each of text, csv and json: a table
-(columns of (key, text spec or None, csv spec) over row dicts, plus a
-text mark per row) and report entries ((json key or None, value, text
-line or None)).  A command adds a column by adding it to its columns
-and its row dicts.  The json shapes are those the commands have always
-printed: levels and morse a bare list of rows, compare, varshni and
-approx-error one object of their entries.
+Command line front end on argparse: each command registers its options
+with @command, and main(argv) calls it with them as keywords.  Usage
+errors, argparse's own and the UsageErrors a command raises, print as
+usage line, help hint, blank line, "Error: ...", and exit 2.
+
+Every command describes its output once and prints it with one _emit
+call, in each of text, csv and json: a table (columns of (key, text spec
+or None, csv spec) over row dicts, plus a text mark per row) and report
+entries ((json key or None, value, text line or None)).  A command adds
+a column by adding it to its columns and its row dicts.  The json shapes
+are those the commands have always printed: levels and morse a bare list
+of rows, compare, varshni and approx-error one object of their entries.
 
 Exit codes: 0 success, 2 usage problems (unknown molecule, unreadable
 database, bad index syntax, a request above MAX_INDICES, MAX_INDEX,
@@ -22,11 +26,11 @@ arguments and database give byte-identical output.
 
 from __future__ import annotations
 
-import json
+import argparse
+import os
 import sys
+from functools import partial
 from itertools import zip_longest
-
-import click
 
 from . import __version__
 from .database import DatabaseError, UnknownMoleculeError, load_database
@@ -62,6 +66,11 @@ MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 
 
+class UsageError(Exception):
+    """A bad command line found after parsing; main prints it under the
+    command's usage and exits 2."""
+
+
 def parse_index_list(text: str, label: str) -> tuple[int, ...]:
     """Parse '0,3,5' or '0..9' (or a mix) into a tuple of indices.
 
@@ -78,16 +87,17 @@ def parse_index_list(text: str, label: str) -> tuple[int, ...]:
             if hi < lo:
                 raise ValueError
         except ValueError:
-            raise click.BadParameter(
-                f"bad {label} token {token!r}; use e.g. '0,3,5' or '0..9'"
+            raise UsageError(
+                f"Invalid value: bad {label} token {token!r}; use e.g. '0,3,5' or '0..9'"
             ) from None
         if hi > MAX_INDEX:
-            raise click.BadParameter(f"{label} indices must be at most 2**53")
+            raise UsageError(f"Invalid value: {label} indices must be at most 2**53")
         if len(out) + hi - lo + 1 > MAX_INDICES:
-            raise click.BadParameter(f"{label} lists more than {MAX_INDICES} indices")
+            raise UsageError(
+                f"Invalid value: {label} lists more than {MAX_INDICES} indices")
         out.extend(range(lo, hi + 1))
     if not out or any(i < 0 for i in out):
-        raise click.BadParameter(f"{label} indices must be non-negative")
+        raise UsageError(f"Invalid value: {label} indices must be non-negative")
     return tuple(out)
 
 
@@ -96,7 +106,7 @@ def parse_grid(nu_spec: str, j_spec: str) -> tuple[tuple[int, ...], tuple[int, .
     nu_list = parse_index_list(nu_spec, "--nu")
     J_list = parse_index_list(j_spec, "--J")
     if len(nu_list) * len(J_list) > MAX_PAIRS:
-        raise click.UsageError(
+        raise UsageError(
             f"--nu x --J asks for {len(nu_list) * len(J_list)} levels; "
             f"the limit is {MAX_PAIRS}"
         )
@@ -108,7 +118,7 @@ def _params(molecule: str, db: str | None) -> SpectroscopicParams:
     try:
         return load_database(db).get(molecule)
     except (DatabaseError, UnknownMoleculeError) as exc:
-        click.echo(f"error: {exc.args[0]}", err=True)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 
 
@@ -134,6 +144,8 @@ def _emit(fmt: str, columns=(), rows=(), marks=(), entries=(), failures=(),
     with a key as one object or, with no entries, the row dicts whole.
     """
     if fmt == "json":
+        import json
+
         report = {key: value for key, value, _ in entries if key is not None}
         out = json.dumps(report if entries else rows, indent=2)
     else:
@@ -150,43 +162,99 @@ def _emit(fmt: str, columns=(), rows=(), marks=(), entries=(), failures=(),
         if text:
             lines += [line for _, _, line in entries if line is not None]
         out = "\n".join(lines)
-    click.echo(out)
+    print(out, flush=True)  # before stderr, where both go to one stream
     for line in [*warnings, *failures]:
-        click.echo(line, err=True)
+        print(line, file=sys.stderr)
     if failures:
         sys.exit(EXIT_COMPUTE)
 
 
 # ---------------------------------------------------------------------------
-# click surface
+# argparse surface
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="rovib")
-def cli() -> None:
-    """Ro-vibrational levels of diatomics in a deformed Schioberg potential."""
+class _Parser(argparse.ArgumentParser):
+    """No option abbreviations, --help but no -h, docstrings as written,
+    and click's usage errors: usage line, help hint, blank line, error."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False,
+                         formatter_class=argparse.RawDescriptionHelpFormatter, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        sys.stderr.write(f"Usage: {self.usage}\nTry '{self.prog} --help' for help.\n"
+                         f"\nError: {message}\n")
+        sys.exit(EXIT_USAGE)
 
 
-_db_option = click.option(
-    "--db", type=click.Path(), default=None,
-    help="Molecule database file (default: bundled table).",
+COMMANDS = []  # (command function, its options) in --help order
+
+
+def command(*options):
+    """Register a command and its options; each also takes MOLECULE and --db."""
+    def register(run):
+        COMMANDS.append((run, options))
+        return run
+    return register
+
+
+def _int_in(low: int, high: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+    if not low <= value <= high:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range {low}<=x<={high}.")
+    return value
+
+
+def _option(flag: str, dest: str, default, help: str = "", choices=None, span=None):
+    """(flag, add_argument keywords) of an option whose --help shows its
+    default: text, one of choices, or an integer in span = (low, high)."""
+    kwargs, shown = {"dest": dest, "default": default, "metavar": "TEXT"}, "%(default)s"
+    if choices:
+        kwargs.update(choices=choices, metavar=f"[{'|'.join(choices)}]")
+    if span:
+        kwargs.update(type=partial(_int_in, *span), metavar="INTEGER RANGE")
+        shown += "; {}<=x<={}".format(*span)
+    return flag, {**kwargs, "help": f"{help}  [default: {shown}]".lstrip()}
+
+
+_FORMAT = _option("--format", "fmt", "text", choices=("text", "csv", "json"))
+
+
+def _parser() -> _Parser:
+    """The rovib command line: one subparser per registered command."""
+    top = _Parser(prog="rovib", usage="rovib [OPTIONS] COMMAND [ARGS]...",
+                  description="Ro-vibrational levels of diatomics in a deformed "
+                              "Schioberg potential.")
+    top.add_argument("--version", action="version",
+                     version=f"rovib, version {__version__}",
+                     help="Show the version and exit.")
+    commands = top.add_subparsers(title="commands", metavar="COMMAND", prog="rovib",
+                                  required=True)
+    for run, options in COMMANDS:
+        name = run.__name__.replace("_", "-")
+        doc = "\n".join(line.removeprefix("    ") for line in run.__doc__.splitlines())
+        sub = commands.add_parser(name, usage=f"rovib {name} [OPTIONS] MOLECULE",
+                                  help=doc.split("\n")[0], description=doc)
+        sub.add_argument("molecule", metavar="MOLECULE",
+                         help="A molecule of the database.")
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.add_argument("--db", metavar="PATH",
+                         help="Molecule database file (default: bundled table).")
+        sub.set_defaults(run=run, parser=sub)
+    return top
+
+
+@command(
+    _option("--nu", "nu_spec", "0..5", "Vibrational indices, e.g. '0,3,5' or '0..9'."),
+    _option("--J", "j_spec", "0", "Rotational indices, same syntax as --nu."),
+    _option("--unit", "unit", "cm-1", "Energy unit of the output column.", tuple(UNITS)),
+    _FORMAT,
 )
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "csv", "json"]),
-    default="text", show_default=True,
-)
-
-
-@cli.command()
-@click.argument("molecule")
-@click.option("--nu", "nu_spec", default="0..5", show_default=True,
-              help="Vibrational indices, e.g. '0,3,5' or '0..9'.")
-@click.option("--J", "j_spec", default="0", show_default=True,
-              help="Rotational indices, same syntax as --nu.")
-@click.option("--unit", type=click.Choice(list(UNITS)), default="cm-1",
-              show_default=True, help="Energy unit of the output column.")
-@_format_option
-@_db_option
 def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
     """Closed-form level energies for one molecule.
 
@@ -214,17 +282,13 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
           warnings=warnings)
 
 
-@cli.command()
-@click.argument("molecule")
-@click.option("--nu", "nu_spec", default="0,3,5", show_default=True,
-              help="Vibrational indices.")
-@click.option("--J", "j_spec", default=STANDARD_J, show_default=True,
-              help="Rotational indices.")
-@click.option("--grid-points", type=click.IntRange(4, MAX_BASIS),
-              default=MAX_BASIS, show_default=True,
-              help="Largest sinc-DVR basis the oracle may build per J.")
-@_format_option
-@_db_option
+@command(
+    _option("--nu", "nu_spec", "0,3,5", "Vibrational indices."),
+    _option("--J", "j_spec", STANDARD_J, "Rotational indices."),
+    _option("--grid-points", "grid_points", MAX_BASIS,
+            "Largest sinc-DVR basis the oracle may build per J.", span=(4, MAX_BASIS)),
+    _FORMAT,
+)
 def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
     """Closed form against a sinc-DVR eigensolver.
 
@@ -241,7 +305,7 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
     nu_list, J_list = parse_grid(nu_spec, j_spec)
     basis = len(J_list) * grid_points
     if basis > MAX_ORACLE_POINTS:
-        raise click.UsageError(
+        raise UsageError(
             f"--J x --grid-points asks for {basis} oracle basis functions; "
             f"the limit is {MAX_ORACLE_POINTS}"
         )
@@ -267,11 +331,7 @@ def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
           failures=[f"error: nu={f.nu} J={f.J}: {f.error}" for f in report.failures])
 
 
-@cli.command()
-@click.argument("molecule")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
-@_db_option
+@command(_option("--format", "fmt", "text", choices=("text", "json")))
 def varshni(molecule, fmt, db) -> None:
     """Minimum-condition residuals and derived shape parameters.
 
@@ -289,7 +349,7 @@ def varshni(molecule, fmt, db) -> None:
     try:
         report = verify_varshni(from_params(params), derived)
     except SingularRadiusError as exc:  # eta near 1 puts a pole by re
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_COMPUTE)
     pole = pole_radius(derived.b, derived.q)
     dU_rel = abs(report.dU_at_re) * params.re / params.De
@@ -347,14 +407,11 @@ def varshni(molecule, fmt, db) -> None:
           if corrected is None else [])
 
 
-@cli.command()
-@click.argument("molecule")
-@click.option("--nu", "nu_spec", default="0..9", show_default=True,
-              help="Vibrational indices.")
-@click.option("--unit", type=click.Choice(list(UNITS)), default="cm-1",
-              show_default=True)
-@_format_option
-@_db_option
+@command(
+    _option("--nu", "nu_spec", "0..9", "Vibrational indices."),
+    _option("--unit", "unit", "cm-1", choices=tuple(UNITS)),
+    _FORMAT,
+)
 def morse(molecule, nu_spec, unit, fmt, db) -> None:
     """Morse vibrational levels (J = 0) from the same De, re, we.
 
@@ -377,12 +434,11 @@ def morse(molecule, nu_spec, unit, fmt, db) -> None:
           failures=failures)
 
 
-@cli.command("approx-error")
-@click.argument("molecule")
-@click.option("--points", type=click.IntRange(2, MAX_SCAN_POINTS), default=200,
-              show_default=True, help="Number of radii in the scan.")
-@_format_option
-@_db_option
+@command(
+    _option("--points", "points", 200, "Number of radii in the scan.",
+            span=(2, MAX_SCAN_POINTS)),
+    _FORMAT,
+)
 def approx_error(molecule, points, fmt, db) -> None:
     """Centrifugal approximation error across the well.
 
@@ -405,7 +461,7 @@ def approx_error(molecule, points, fmt, db) -> None:
             coeffs, derived.q, derived.u, derived.b, scan)
         *exponential, exponential_at_re = greene_aldrich_error(derived.b, scan)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_COMPUTE)
     # the table is csv only, so its rows are a generator that only csv
     # runs: text prints the summary lines, json the columns
@@ -426,8 +482,23 @@ def approx_error(molecule, points, fmt, db) -> None:
           ])
 
 
-def main() -> None:
-    cli()
+def main(argv: list[str] | None = None) -> None:
+    """The rovib console script: run the command that argv (default
+    sys.argv[1:]) names; usage errors exit 2, failed computations 3."""
+    try:
+        namespace, extra = _parser().parse_known_args(argv)
+        args = vars(namespace)
+        run, parser = args.pop("run"), args.pop("parser")
+        try:
+            if extra:  # left over by the command's parser
+                raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+            run(**args)
+        except UsageError as exc:
+            parser.error(str(exc))
+    except BrokenPipeError:  # the reader left early (rovib ... | head): exit 0
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except KeyboardInterrupt:
+        sys.exit("\nAborted!")
 
 
 if __name__ == "__main__":

@@ -103,11 +103,18 @@ def _nu_error(nu, q: float, kb2: float) -> str | None:
 _J_BEYOND = "J too large: its centrifugal term J(J+1) hbar^2/(2 mu re^2) overflows"
 
 
-def _failure_text(nu, J, R2: float) -> str:
+# the failure of a cell whose E is not finite: q s tiny against bracket's
+# numerator, so bracket^2 overflows though n and R are finite
+_E_BEYOND = "level beyond float range: the closed form's bracket^2 overflows"
+
+
+def _failure_text(nu, J, R2: float, qs: float) -> str:
     """Why the closed form has no level at an in-range (nu, J)."""
     if R2 < 0.0:
         return f"no real solution: discriminant {R2:.6g} < 0 at nu={nu}, J={J}"
-    return f"degenerate quantum-number shift q s = 0 at nu={nu}, J={J}"
+    if qs == 0.0:
+        return f"degenerate quantum-number shift q s = 0 at nu={nu}, J={J}"
+    return _E_BEYOND
 
 
 @contextmanager
@@ -134,11 +141,11 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
 
     eff holds Pt1..Pt3 as len(J) arrays, so R is per J, q s and E per
     cell.  A cell fails with the first of its J error (a bad index, or
-    _J_BEYOND), its nu error (_nu_error), a negative radicand R^2 and
-    q s = 0.  The grid takes three float arrays (q s, bracket, E), each
-    written in place in the order of the closed form's expression, and
-    four bool masks.  The rows are built with the garbage collector
-    paused (_collector_paused).
+    _J_BEYOND), its nu error (_nu_error), a negative radicand R^2, q s = 0
+    and an E that is not finite (_E_BEYOND).  The grid takes three float
+    arrays (q s, bracket, E), each written in place in the order of the
+    closed form's expression, and four bool masks.  The rows are built
+    with the garbage collector paused (_collector_paused).
     """
     import numpy as np
 
@@ -166,7 +173,8 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     if not finite.all():
         J_errors = [e or (None if ok else _J_BEYOND)
                     for e, ok in zip(J_errors, finite.tolist())]
-    failed = np.equal(qs, 0.0)
+    failed = ~np.isfinite(E)
+    failed |= np.equal(qs, 0.0)
     failed |= (R2 < 0.0) | np.array([e is not None for e in J_errors])
     failed[[e is not None for e in nu_errors]] = True
     # past the zero of q s (eta < 0) bracket turns negative again, at
@@ -182,7 +190,7 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
                         compress(cells, (~failed).ravel().tolist())))
         failures = [
             LevelFailure(nu_list[i], J_list[j], J_errors[j] or nu_errors[i]
-                         or _failure_text(nu_list[i], J_list[j], R2[j]))
+                         or _failure_text(nu_list[i], J_list[j], R2[j], qs[i, j]))
             for i, j in np.argwhere(failed).tolist()
         ]
     return rows, failures
@@ -213,14 +221,17 @@ def _scalar_table(pform: PForm, effs: list[EffectiveCoefficients], nu_list, J_li
             qs = R - qn
             if J_error or nu_error or R2 < 0.0 or qs == 0.0:
                 failures.append(LevelFailure(nu, J, J_error or nu_error
-                                             or _failure_text(nu, J, R2)))
+                                             or _failure_text(nu, J, R2, qs)))
                 continue
             bracket = (p2 + two_n * R - q_n2) / (4.0 * qs)
             try:
-                square = bracket**2
+                E = Pt1 - kb2 * bracket**2
             except OverflowError:
-                square = math.inf
-            cells.append((nu, J, Pt1 - kb2 * square, bracket < 0.0 and qs > 0.0))
+                E = -math.inf
+            if math.isfinite(E):
+                cells.append((nu, J, E, bracket < 0.0 and qs > 0.0))
+            else:
+                failures.append(LevelFailure(nu, J, _E_BEYOND))
     return list(map(tuple.__new__, repeat(EnergyLevel), cells)), failures
 
 
@@ -314,7 +325,8 @@ def level_table(
     (_scalar_table) and imports nothing; a larger one in one numpy pass
     (_table).  Both give the same rows and failures to the last bit.
     Entries that fail (bad index, a J whose centrifugal term overflows,
-    a nu whose (1 + 2 nu)^2 overflows, negative radicand) are collected
+    a nu whose (1 + 2 nu)^2 overflows, negative radicand, an E beyond
+    float range) are collected
     as LevelFailure records instead of aborting the table.
     """
     if not nu_list or not J_list:

@@ -1,9 +1,7 @@
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rovib.cli import cli
 from rovib.database import (
     ENV_VAR,
     DatabaseError,
@@ -14,6 +12,7 @@ from rovib.database import (
 )
 from rovib.units import mass_grams_to_amu
 
+from conftest import run_cli
 from reference_levels import ETA_NO_EFFECTIVE
 
 HEADER = "name eta mu_1e-23_g alpha_inv_A re_A beta_inv_A De_cm1 we_cm1"
@@ -171,5 +170,5 @@ def test_arbitrary_input_raises_only_database_error(tmp_path_factory, body):
     for name in db.names:
         for command in ("levels", "varshni", "approx-error"):
             # "--": a drawn name may look like an option, e.g. "-1"
-            result = CliRunner().invoke(cli, [command, "--db", str(path), "--", name])
-            assert result.exit_code in (0, 3), (command, result.exception)
+            result = run_cli([command, "--db", str(path), "--", name])
+            assert result.exit_code in (0, 3), (command, result.stderr)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from rovib.cli import cli
 from rovib.database import ENV_VAR, bundled_path
+
+from conftest import run_cli
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -71,10 +71,7 @@ def run(args: str) -> str:
     The bundled database's path depends on the checkout, so messages that
     name it carry ``<bundled>`` instead.
     """
-    result = CliRunner().invoke(
-        cli, args.split(), env={ENV_VAR: None}, catch_exceptions=False,
-        terminal_width=80,
-    )
+    result = run_cli(args.split(), env={ENV_VAR: None})
     text = (
         f"exit {result.exit_code}\n--- stdout\n{result.stdout}"
         f"--- stderr\n{result.stderr}"

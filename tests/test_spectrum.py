@@ -133,6 +133,28 @@ def test_ground_state_decays(db):
         assert ln_20 - ln_re < math.log(1.0e-6)
 
 
+@pytest.mark.parametrize("J", [0, 20, 50])
+def test_ground_state_solves_the_radial_equation(db, J):
+    # psi0 = e^L with L = log_wavefunction solves -k psi'' + U_eff psi =
+    # E0 psi, i.e. -k (L'' + L'^2) + U_eff - E0 = 0, with U_eff = Pt1 +
+    # Pt2/y + Pt3/y^2, y = e^{br} + q; L' and L'' by central differences
+    # (step h: truncation about 6e-4 cm^-1, rounding below it)
+    h = 5.0e-5
+    for name in db.names:
+        p = db.get(name)
+        pf, eff = _pipeline(p, J)
+        s = susy_intermediates(pf, eff, p.mu)
+        assert s.E0 == pytest.approx(level(p, 0, J).E, rel=1.0e-13)
+        k = kinetic_factor(p.mu)
+        for i in range(15):
+            r = p.re * (0.8 + 0.05 * i)  # 0.8 re .. 1.5 re
+            lo, mid, hi = (log_wavefunction(s, pf, r + m * h) for m in (-1, 0, 1))
+            d1, d2 = (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h**2
+            y = math.exp(pf.b * r) + pf.q
+            U = eff.Pt1 + eff.Pt2 / y + eff.Pt3 / y**2
+            assert abs(-k * (d2 + d1**2) + U - s.E0) < 2.0e-3, (name, r)
+
+
 def test_wavefunction_domain():
     dummy = SusyIntermediates(Q1t=-1.0, Q2t=1.0, E0=0.0, branch="minus")
     pf = PForm(b=2.6, q=-20.36, P1=5.0e4, P2=-1.0e5, P3=5.0e4)
@@ -578,12 +600,15 @@ def test_kernels_agree_bit_for_bit_on_the_bundled_molecules(db, monkeypatch):
 def test_kernels_agree_past_overflow(db, monkeypatch):
     # N2 at J = 1e140 with n q just short of R: q s is tiny, bracket is
     # finite at 2.3e154 and its square overflows (float ** raises, pow
-    # gives inf); at nu = 1e160 n^2 itself overflows, and the nu fails
+    # gives inf), so the cell fails; at nu = 1e160 n^2 itself overflows,
+    # and the nu fails
     nu_list, J_list = [0, int(1.298472335684575e140), 10**160], [0, 10**140]
     scalar, array = _both_kernels(monkeypatch, db.get("N2"), nu_list, J_list)
     assert scalar == array
-    assert scalar[0].count("E=-inf") == 1
+    assert scalar[0].count("E=-inf") == 0
+    assert scalar[1].count("LevelFailure(") == 3
     assert scalar[1].count("nu too large") == 2
+    assert scalar[1].count("bracket^2 overflows") == 1
     for eta in (0.0, 1.0e-15, -0.05):
         scalar, array = _both_kernels(monkeypatch, _near_morse(eta),
                                       [0, 3, 10**160, 2**53], [0, 7, 2**40])
