@@ -12,8 +12,10 @@ needs scipy too, although rovib does not.
 BENCH_<label>.json, at the root of the checkout, holds {"label", "runs"};
 each run adds {"git_commit", "git_dirty", "command", "environment",
 "result"}: the checkout's HEAD and whether tracked files differ from it,
-run.py's arguments, its details line without the per-request samples
-(request_times_s, setup_samples_s) and its last line, the metrics.
+run.py's arguments, its details line (environment, seed, request count)
+and its last line, the metrics.  The details line's table and requests,
+which the seed regenerates, and its per-request samples are left out:
+they took 34 KB to 0.35 MB per run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SAMPLES = ("request_times_s", "setup_samples_s")  # per-request, too long to keep
+LEFT_OUT = ("table", "requests", "request_times_s", "setup_samples_s")
 
 
 def git(*args: str) -> str:
@@ -52,7 +54,7 @@ def main(argv=None) -> int:
         return proc.returncode
     *_, detail, result = proc.stdout.splitlines()
     detail = {key: value for key, value in json.loads(detail).items()
-              if key not in SAMPLES}
+              if key not in LEFT_OUT}
     path = ROOT / f"BENCH_{args.label}.json"
     bench = json.loads(path.read_text()) if path.exists() else {"label": args.label,
                                                                 "runs": []}

@@ -326,8 +326,8 @@ def level_table(
     (_table).  Both give the same rows and failures to the last bit.
     Entries that fail (bad index, a J whose centrifugal term overflows,
     a nu whose (1 + 2 nu)^2 overflows, negative radicand, an E beyond
-    float range) are collected
-    as LevelFailure records instead of aborting the table.
+    float range) are collected as LevelFailure records instead of
+    aborting the table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")
