@@ -509,15 +509,18 @@ def test_an_ended_call_leaves_no_traceback(ending):
     src = str(Path(rovib.__file__).resolve().parents[1])
     args = (["levels", "N2", "--nu", "0..66", "--J", "0..200"] if ending == "closed pipe"
             else ["compare", "O2", "--nu", "54", "--J", "0..31"])  # about 20 s
+    launch = ("import sys; from rovib.cli import main; "
+              "print('in main', file=sys.stderr, flush=True); main()")
     proc = subprocess.Popen(
-        [sys.executable, "-c", "from rovib.cli import main; main()", *args],
+        [sys.executable, "-c", launch, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": src})
+    assert proc.stderr.readline() == "in main\n"
     if ending == "closed pipe":
         proc.stdout.readline()
         proc.stdout.close()
     else:
-        time.sleep(1.0)  # well into the oracle's solves, which take seconds
+        time.sleep(0.5)  # inside the oracle's solves, which take seconds
         proc.send_signal(signal.SIGINT)
     stderr = proc.stderr.read()
     if ending == "closed pipe":
