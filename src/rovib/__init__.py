@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 # public name -> the submodule defining it, in __all__ order
 _SUBMODULE = {name: module for module, names in (
-    ("database", "MoleculeDatabase load_database"),
+    ("database", "MoleculeDatabase SpectroscopicParams load_database"),
     ("oracle", "converge deviation_report"),
-    ("potentials", "DerivedParams PForm SpectroscopicParams alpha_dmrm derive "
+    ("potentials", "DerivedParams PForm alpha_dmrm derive "
                    "evaluate from_params lambert_w0 to_pform verify_varshni"),
     ("rotational", "EffectiveCoefficients FactorizationCoefficients "
                    "badawi_coefficients effective_coefficients greene_aldrich_approx"),

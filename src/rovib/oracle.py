@@ -10,7 +10,8 @@ the problems of one basis size solved as one stacked eigensolve
 (dvr_eigenvalues).  Its disagreement with the closed form measures the
 rational approximation of the centrifugal term.  deviation_report runs
 it over a closed-form (nu, J) table, converge for one level of a
-TietzHua.  No other module imports this one at load time: the package
+TietzHua; both take each J's well, and the levels it holds, from _wells.
+No other module imports this one at load time: the package
 resolves converge and deviation_report on first access and the CLI
 imports it inside compare, so the closed form never pays for compiling
 it.  numpy is imported by the functions that build arrays, not by
@@ -38,6 +39,10 @@ _SCAN = 2048  # potential samples over the range that place the box
 _STACK = 2**18  # matrix elements per stacked eigensolve, unless one matrix has more
 _ABOVE_BASIS = ("nu at or above the sinc DVR basis size within {} basis "
                 "functions; no oracle level")
+_BELOW_WELL = "below the effective potential's minimum; no oracle level"
+_ABOVE_WELL = "nu above the well: its WKB count at the top is {:.2f}; no oracle level"
+_ABOVE_TOP = ("closed-form level at or above the well's top, {:.2f} cm^-1; "
+              "no oracle level")
 
 
 class ResolutionError(RuntimeError):
@@ -78,60 +83,103 @@ def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def _scan(model: TietzHua) -> tuple[np.ndarray, np.ndarray]:
-    """The _SCAN points of [_R_MIN re, _R_MAX re] and V on them, from
-    which boxes are placed."""
+class _Wells(NamedTuple):
+    """The well of the effective potential v = V + J(J+1) k / r^2 on the
+    scan r, _SCAN points of [_R_MIN re, _R_MAX re] spaced dr, a row of v
+    per J.  Per row: the minimum lo at index well; top, the lower of the
+    highest v on each side of the minimum (the barrier top, or v at the
+    scan's end); inside, v on the points around the minimum where
+    v < top; and top_phase, the phase at top."""
+
+    r: np.ndarray
+    v: np.ndarray
+    well: list[int]
+    lo: list[float]
+    top: list[float]
+    top_phase: list[float]
+    inside: list[np.ndarray]
+    k: float
+    dr: float
+
+    def phase(self, row: int, E: float) -> float:
+        """S(E) / pi for E at most top: the WKB phase integral of
+        sqrt((E - v) / k) dr over the points of inside where v < E, the
+        well at E.  Level nu lies half a level below pi (nu + 1), so by
+        this count the well holds top_phase - 1/2 levels."""
+        import numpy as np
+
+        v = self.inside[row]
+        return np.sqrt((E - v[v < E]) / self.k).sum() * self.dr / math.pi
+
+    def box(self, row: int, E_top: float) -> tuple[float, float, int]:
+        """(r_min, r_max, N) for levels up to E_top, above lo: the well at
+        E_top plus tails where the decay integral reaches _TAIL, within
+        the scan, and N = _SAFETY times the de Broglie limit."""
+        import numpy as np
+
+        r, v, well, k = self.r, self.v[row], self.well[row], self.k
+        decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * self.dr  # zero inside the well
+        inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
+        outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
+        r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
+        p_max = math.sqrt((E_top - self.lo[row]) / k)
+        return r_min, r_max, math.ceil(_SAFETY * p_max * (r_max - r_min) / math.pi) + 1
+
+
+def _wells(model: TietzHua, J_list: list[int], k: float) -> _Wells:
+    """The _Wells of model at each J of J_list, all rows found at once; a
+    scan point on the pole is a ResolutionError."""
     import numpy as np
 
     r = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN)
-    return r, _potential(model, r)
-
-
-def _box(r: np.ndarray, v: np.ndarray, E_top: float, k: float) -> tuple[float, float, int]:
-    """(r_min, r_max, N) for levels up to E_top, above the scan's minimum:
-    the well at E_top plus tails where the decay integral reaches _TAIL,
-    within the scan, and N = _SAFETY times the de Broglie limit."""
-    import numpy as np
-
-    dr = (r[-1] - r[0]) / (r.size - 1)
-    well = int(np.argmin(v))
-    decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * dr  # zero inside the well
-    inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
-    outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
-    r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
-    p_max = math.sqrt((E_top - v[well]) / k)
-    return r_min, r_max, math.ceil(_SAFETY * p_max * (r_max - r_min) / math.pi) + 1
+    v = np.array([J * (J + 1) * k for J in J_list], dtype=float)[:, None] / r**2
+    v += _potential(model, r)
+    (m, n), rows = v.shape, np.arange(len(v))
+    well, base = np.argmin(v, axis=1), rows * n  # base: each row's start in v.ravel()
+    # with the rows laid end to end, one reduceat finds the highest v
+    # before each minimum and from it on, and one search the nearest
+    # points with v >= top on each side (each side has one, unless the
+    # minimum is the scan's first point, where top = lo)
+    top = np.maximum.reduceat(v.ravel(), np.stack([base, base + well], 1).ravel())
+    top = top.reshape(m, 2).min(axis=1)
+    wall = np.flatnonzero(v >= top[:, None])
+    after = np.searchsorted(wall, base + well)
+    stop = wall[after] - base
+    start = np.clip(wall[after - 1] + 1 - base, 0, stop)
+    inside = [v[i, a:b] for i, a, b in zip(range(m), start.tolist(), stop.tolist())]
+    # and one reduceat sums each row's phase at top (a row with no inside
+    # has none)
+    size = stop - start
+    E_minus_v = np.repeat(top, size) - np.concatenate([r[:0], *inside])  # J_list may be []
+    phase = np.add.reduceat(np.append(np.sqrt(E_minus_v / k), 0.0), np.cumsum(size) - size)
+    dr = (r[-1] - r[0]) / (n - 1)
+    return _Wells(r, v, well.tolist(), v[rows, well].tolist(), top.tolist(),
+                  (np.where(size > 0, phase, 0.0) * dr / math.pi).tolist(), inside, k, dr)
 
 
 def _dvr_levels(
-    model: TietzHua, mu: float, jobs: dict[int, tuple[list[int], float]],
-    n_max: int, scan: tuple[np.ndarray, np.ndarray],
+    model: TietzHua, wells: _Wells, jobs: dict[int, tuple[list[int], float, int]],
+    n_max: int,
 ) -> dict[int, dict[int, tuple[float, float, int] | str]]:
     """{J: {nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none}}
-    for jobs {J: (nus, E_top)} and scan = _scan(model).
+    for jobs {J: (nus, E_top, row)}, row J's row of wells.
 
-    Per J, box and first N: _box at E_top (the highest level's).  N
+    Per J, box and first N: wells.box at E_top (the highest level's).  N
     doubles while some level moves by more than DVR_TOL_CM1 and 4N fits
     in n_max; then, if n_max // 2 exceeds N, the last pair that fits,
     (n_max // 2, 2 (n_max // 2)), serves the levels still unconverged,
-    and a level converged at an earlier pair keeps that pair.  With E_top
-    at or below the scan's minimum of the effective potential there is
-    no well to box and nothing is solved; a level at or above the last N
-    has no N -> 2N pair.  The J values refine
+    and a level converged at an earlier pair keeps that pair.  E_top lies
+    above the scan's minimum of the effective potential; a level at or
+    above the last N has no N -> 2N pair.  The J values refine
     together: each step solves those due at the smallest basis size as
     one stack of at most max(size^2, _STACK) matrix elements."""
     import numpy as np
 
-    k, (r, V) = kinetic_factor(mu), scan
+    k = wells.k
     c = {J: J * (J + 1) * k for J in jobs}
     out, box, N, size, fine = {}, {}, {}, {}, {}
-    for J, (nus, E_top) in jobs.items():
-        v = V + c[J] / r**2
-        if E_top <= v.min():
-            out[J] = dict.fromkeys(nus, "below the effective potential's minimum; "
-                                        "no oracle level")
-            continue
-        *box[J], n = _box(r, v, E_top, k)
+    for J, (_, E_top, row) in jobs.items():
+        *box[J], n = wells.box(row, E_top)
         N[J] = size[J] = min(max(n, 2), n_max // 2)
     while size:  # size[J]: the basis J solves next, N[J] or 2 N[J]
         n = min(size.values())
@@ -197,10 +245,11 @@ def converge(
     closed form: the WKB phase integral S(E) of sqrt((E - v) / k) dr over
     the well, where v < E next to the scan's minimum, is pi (nu + 1) half
     a level above nu.  E stays below the well top, the lower of the
-    highest v on each side of the minimum.  One solve on _box at E gives
-    level nu, whose box _dvr_levels then refines.  A level past the WKB
-    count S(top) / pi - 1/2 by half a level or more fails before any
-    basis is built.
+    highest v on each side of the minimum.  One solve on the box at E
+    gives level nu, whose box _dvr_levels then refines.  A level past the
+    WKB count S(top) / pi - 1/2 by half a level or more fails before any
+    basis is built, here and in deviation_report, which finds its wells
+    the same way (_wells).
     """
     import numpy as np
 
@@ -213,28 +262,18 @@ def converge(
     k, n_max = kinetic_factor(mu), min(int(n_points), MAX_BASIS)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
         raise ResolutionError(_ABOVE_BASIS.format(n_max))
-    scan = r, V = _scan(model)
-    v = V + J * (J + 1) * k / r**2
-    well = int(np.argmin(v))
-    rim = np.concatenate([np.maximum.accumulate(v[well::-1])[:0:-1],
-                          np.maximum.accumulate(v[well:])])  # max v from the minimum
-    top, dr = min(rim[0], rim[-1]), (r[-1] - r[0]) / (r.size - 1)
-
-    def phase(E):  # S(E) / pi
-        return np.sqrt((E - v[rim < E]) / k).sum() * dr / math.pi
-
-    lo, E, phase_top = v[well], top, phase(top)
+    wells = _wells(model, [J], k)
+    lo, E, phase_top = wells.lo[0], wells.top[0], wells.top_phase[0]
     if phase_top <= nu:
-        raise ResolutionError(f"nu above the well: its WKB count at the top is "
-                              f"{phase_top - 0.5:.2f}; no oracle level")
+        raise ResolutionError(_ABOVE_WELL.format(phase_top - 0.5))
     if phase_top > nu + 1:
         for _ in range(50):  # bisection to 2^-50 of the well's depth
             mid = 0.5 * (lo + E)
-            lo, E = (mid, E) if phase(mid) < nu + 1 else (lo, mid)
-    r_min, r_max, n = _box(r, v, E, k)
+            lo, E = (mid, E) if wells.phase(0, mid) < nu + 1 else (lo, mid)
+    r_min, r_max, n = wells.box(0, E)
     x = np.linspace(r_min, r_max, min(max(n, nu + 1), n_max))
     E_nu = dvr_eigenvalues(x, _effective(model, x, J * (J + 1) * k), k)[nu]
-    level = _dvr_levels(model, mu, {J: ([nu], E_nu)}, n_max, scan)[J][nu]
+    level = _dvr_levels(model, wells, {J: ([nu], E_nu, 0)}, n_max)[J][nu]
     if isinstance(level, str):
         raise ResolutionError(level)
     return ConvergeResult(nu, J, *level)
@@ -266,9 +305,12 @@ def deviation_report(
 ) -> DeviationReport:
     """Compare closed-form levels with sinc-DVR eigenvalues (per row the
     2N value, |E_N - E_2N| and 2N).  n_points is the largest basis the
-    refinement may build, at most MAX_BASIS; a cell beyond the bound
-    range, one _dvr_levels gives a reason for, or one whose potential
-    samples hit the pole, is a LevelFailure."""
+    refinement may build, at most MAX_BASIS.  Each J's well is converge's:
+    a cell past its WKB count, as converge fails it, or whose closed-form
+    level lies at or above the well's top is a LevelFailure, as is a cell
+    beyond the bound range, one _dvr_levels gives a reason for, or one
+    whose potential samples hit the pole.  The rest box at the highest
+    closed-form level of their J."""
     if not nu_list or not J_list or not _whole_budget(n_points):
         raise ValueError("need non-empty nu_list and J_list and a whole n_points >= 4")
     rows_closed, failures = level_table(params, nu_list, J_list)
@@ -277,12 +319,28 @@ def deviation_report(
     for row in rows_closed:
         if row.bound:
             cells_by_J.setdefault(row.J, []).append(row)
-    jobs = {J: ([c.nu for c in cells], max(c.E for c in cells))
-            for J, cells in cells_by_J.items()}
+    k = kinetic_factor(params.mu)
+    oracle, jobs = {}, {}
     try:
-        oracle = _dvr_levels(model, params.mu, jobs, n_max, _scan(model))
+        wells = _wells(model, list(cells_by_J), k)
+        for row, (J, cells) in enumerate(cells_by_J.items()):
+            lo, top, count = wells.lo[row], wells.top[row], wells.top_phase[row]
+            oracle[J], inside = {}, []
+            for c in cells:
+                reason = (_BELOW_WELL if c.E <= lo else
+                          _ABOVE_WELL.format(count - 0.5) if count <= c.nu else
+                          _ABOVE_TOP.format(top) if c.E >= top else None)
+                if reason:
+                    oracle[J][c.nu] = reason
+                else:
+                    inside.append(c)
+            if inside:
+                jobs[J] = ([c.nu for c in inside], max(c.E for c in inside), row)
+        for J, levels in _dvr_levels(model, wells, jobs, n_max).items():
+            oracle[J] |= levels
     except ResolutionError as exc:  # a sample on the pole
-        oracle = {J: dict.fromkeys(nus, str(exc)) for J, (nus, _) in jobs.items()}
+        oracle = {J: dict.fromkeys((c.nu for c in cells), str(exc))
+                  for J, cells in cells_by_J.items()}
     rows = []
     for row in rows_closed:
         level = (oracle[row.J][row.nu] if row.bound else

@@ -18,7 +18,7 @@ in the Tietz-Hua form: near re the P-form sum cancels three terms of
 size De, which costs digits.  Shape parameters are fixed from the
 spectroscopic constants (De, re, we) by requiring a minimum at re,
 depth De at dissociation and curvature matching the harmonic force
-constant.
+constant, given as the SpectroscopicParams that rovib.database defines.
 """
 
 from __future__ import annotations
@@ -26,16 +26,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .database import SpectroscopicParams
 from .units import kinetic_factor
 
 _INV_E = math.exp(-1.0)
 
-# Largest magnitude of a parameter (and inverse of the smallest positive
-# one), and largest exponent b re = 2 alpha re: far beyond any diatomic,
-# and small enough that e^{b re}, we^2 and the P-form, centrifugal and
-# oracle quantities built from them stay finite.
-MAX_MAGNITUDE = 1.0e6
-MAX_B_RE = 50.0
 # Largest sinc-DVR basis the oracle builds per J (a solve: 0.7 s, 65 MB
 # peak, 2 vCPUs, ~N^3); kept here so that the CLI's --grid-points range
 # does not load the oracle.
@@ -44,70 +39,6 @@ MAX_BASIS = 2048
 
 class SingularRadiusError(ValueError):
     """Potential evaluated at (or numerically on top of) a pole."""
-
-
-class _SpectroscopicFields(NamedTuple):
-    name: str
-    De: float
-    re: float
-    we: float
-    mu: float
-    alpha: float
-    eta: float
-    beta_table: float | None = None
-
-
-class SpectroscopicParams(_SpectroscopicFields):
-    """Input constants for one molecule.
-
-    Energies in cm^-1, lengths in Angstrom, mass in amu.  ``eta`` is the
-    shape (deformation) parameter of the Tietz-Hua form; ``eta = 1``
-    degenerates the potential and is rejected.  ``beta_table`` optionally
-    carries a tabulated Morse constant for consistency reports; the
-    package otherwise works with the value derived from we.  Every number
-    must be finite, the positive ones within [1/MAX_MAGNITUDE,
-    MAX_MAGNITUDE], |eta| at most MAX_MAGNITUDE and 2 alpha re at most
-    MAX_B_RE, so that nothing computed from them overflows.  Every way
-    of making one checks these: the constructor, ``_make``, ``_replace``,
-    ``copy`` and unpickling.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name, De, re, we, mu, alpha, eta, beta_table=None):
-        self = super().__new__(cls, name, De, re, we, mu, alpha, eta, beta_table)
-        for field in ("De", "re", "we", "mu", "alpha", "eta", "beta_table"):
-            value = getattr(self, field)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{field} must be finite, got {value}")
-        for field in ("De", "re", "we", "mu", "alpha", "beta_table"):
-            value = getattr(self, field)
-            if value is None:  # beta_table is optional
-                continue
-            if not value > 0.0:
-                raise ValueError(f"{field} must be positive, got {value}")
-            if not 1.0 / MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
-                raise ValueError(
-                    f"{field} must lie in [{1.0 / MAX_MAGNITUDE:g}, "
-                    f"{MAX_MAGNITUDE:g}], got {value}"
-                )
-        if self.eta == 1.0:
-            raise ValueError("eta must differ from 1 (potential degenerates)")
-        if abs(self.eta) > MAX_MAGNITUDE:
-            raise ValueError(
-                f"eta must lie in [{-MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], got {self.eta}"
-            )
-        if 2.0 * self.alpha * self.re > MAX_B_RE:
-            raise ValueError(
-                f"alpha must keep 2 alpha re at most {MAX_B_RE:g}, got alpha = "
-                f"{self.alpha} at re = {self.re}"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and so _replace) bypasses __new__
-        return cls(*iterable)
 
 
 class DerivedParams(NamedTuple):

@@ -299,6 +299,13 @@ def test_huge_index_is_a_usage_error(flag):
         assert f"{flag} indices must be at most 2**53" in result.stderr
 
 
+def test_compare_past_the_well_exits_3_with_converges_reason():
+    result = run_cli(["compare", "NO", "--nu", "47", "--J", "100"])
+    assert result.exit_code == 3
+    assert result.stderr == ("error: nu=47 J=100: nu above the well: its WKB count "
+                             "at the top is 39.14; no oracle level\n")
+
+
 def test_compare_below_the_well_exits_3_without_traceback(tmp_path):
     custom = tmp_path / "custom.txt"
     custom.write_text(f"{HEADER}\n{BELOW_WELL_ROW}\n")
@@ -476,15 +483,16 @@ for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
 
 
 def test_each_call_loads_only_the_submodules_it_uses():
-    # a fresh interpreter: import rovib loads no submodule, only compare
-    # loads the oracle, and no step loads dataclasses (which would import
-    # inspect, ast, dis and tokenize: about half of a cold start) or click
+    # a fresh interpreter: import rovib loads no submodule, load_database
+    # no potential model, only compare loads the oracle, and no step loads
+    # dataclasses (which would import inspect, ast, dis and tokenize: about
+    # half of a cold start) or click
     proc = fresh_rovib(["-c", SUBMODULES_LOADED])
     assert proc.returncode == 0, proc.stderr
     closed_form = "rovib.cli rovib.database rovib.potentials rovib.rotational " \
                   "rovib.spectrum rovib.units"
     assert proc.stderr.splitlines() == [
-        "import rovib:", "load_database: rovib.database rovib.potentials rovib.units",
+        "import rovib:", "load_database: rovib.database rovib.units",
         *(f"{command}: {closed_form}"
           for command in ("levels", "morse", "varshni", "approx-error", "--help")),
         "compare: rovib.cli rovib.database rovib.oracle rovib.potentials "
@@ -508,7 +516,7 @@ def test_an_ended_call_leaves_no_traceback(ending):
     # the call quietly with exit 0, Ctrl-C with "Aborted!" and exit 1
     src = str(Path(rovib.__file__).resolve().parents[1])
     args = (["levels", "N2", "--nu", "0..66", "--J", "0..200"] if ending == "closed pipe"
-            else ["compare", "O2", "--nu", "54", "--J", "0..31"])  # about 20 s
+            else ["compare", "O2", "--nu", "40..54", "--J", "0..31"])  # about 8 s
     launch = ("import sys; from rovib.cli import main; "
               "print('in main', file=sys.stderr, flush=True); main()")
     proc = subprocess.Popen(

@@ -1,10 +1,19 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rovib
+import rovib.potentials
 from rovib.database import (
     ENV_VAR,
     DatabaseError,
+    SpectroscopicParams,
     UnknownMoleculeError,
     bundled_path,
     load_database,
@@ -14,6 +23,7 @@ from rovib.units import mass_grams_to_amu
 
 from conftest import run_cli
 from reference_levels import ETA_NO_EFFECTIVE
+from test_potentials import _unchecked
 
 HEADER = "name eta mu_1e-23_g alpha_inv_A re_A beta_inv_A De_cm1 we_cm1"
 ROW = "XX 0.05 1.30 1.30 1.20 2.70 50000.0 1800.0"
@@ -172,3 +182,45 @@ def test_arbitrary_input_raises_only_database_error(tmp_path_factory, body):
             # "--": a drawn name may look like an option, e.g. "-1"
             result = run_cli([command, "--db", str(path), "--", name])
             assert result.exit_code in (0, 3), (command, result.stderr)
+
+
+def test_a_utf8_table_loads_under_any_locale(tmp_path):
+    # the file is read as UTF-8: under LC_ALL=C, with locale coercion and
+    # UTF-8 mode off, the locale's encoding is ASCII, and an unnamed
+    # encoding is an EncodingWarning under -X warn_default_encoding
+    path = tmp_path / "utf8.txt"
+    path.write_text("# Schi\u00f6berg-type parameters\n"
+                    + bundled_path().read_text(encoding="utf-8"), encoding="utf-8")
+    src = str(Path(rovib.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    for flags in ([], ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", "from rovib.cli import main; main()",
+             "levels", "NO", "--db", str(path), "--nu", "0", "--J", "0", "--format", "csv"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), flags
+        assert proc.stdout.splitlines()[1] == "NO,0,0,947.756848"
+
+
+def test_one_record_class_under_every_name():
+    # the record lives in rovib.database; rovib.potentials re-exports it
+    assert rovib.SpectroscopicParams is SpectroscopicParams
+    assert rovib.potentials.SpectroscopicParams is SpectroscopicParams
+
+
+def test_a_pickle_naming_the_potentials_module_loads_and_checks_its_fields(db):
+    # records pickled before the class moved name rovib.potentials;
+    # protocol 2 writes the class as a text line and calls __new__
+    def from_potentials(record):
+        data = pickle.dumps(record, protocol=2)
+        old = data.replace(b"crovib.database\nSpectroscopicParams\n",
+                           b"crovib.potentials\nSpectroscopicParams\n")
+        assert old != data
+        return pickle.loads(old)
+
+    p = db.get("NO")
+    same = from_potentials(p)
+    assert type(same) is SpectroscopicParams and same == p
+    with pytest.raises(ValueError, match="^re must be positive, got -1.0$"):
+        from_potentials(_unchecked(p, re=-1.0))

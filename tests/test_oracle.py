@@ -332,6 +332,79 @@ def test_deviation_report_collects_closed_form_failures(db):
     assert [(f.nu, f.J) for f in report.failures] == [(0, 1300)]
 
 
+def _well_by_running_maximum(v, k, dr):
+    """One J's well the way converge once found it: rim[i] is the highest
+    v between the minimum and point i, the well at E the points where
+    rim < E."""
+    well = int(np.argmin(v))
+    rim = np.concatenate([np.maximum.accumulate(v[well::-1])[:0:-1],
+                          np.maximum.accumulate(v[well:])])
+    top = min(rim[0], rim[-1])
+    inside = v[rim < top]
+    return v[well], top, inside, np.sqrt((top - inside) / k).sum() * dr / math.pi
+
+
+def _check_wells(p, J_list):
+    k = kinetic_factor(p.mu)
+    wells = oracle._wells(from_params(p), J_list, k)
+    for row, J in enumerate(J_list):
+        lo, top, inside, phase = _well_by_running_maximum(wells.v[row], k, wells.dr)
+        assert (wells.lo[row], wells.top[row]) == (lo, top), J
+        assert np.array_equal(wells.inside[row], inside), J
+        assert wells.phase(row, top) == phase
+        assert wells.top_phase[row] == pytest.approx(phase, rel=1.0e-12, abs=1.0e-12)
+
+
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_wells_found_at_once_match_the_running_maximum(db, name):
+    # from J = 0, whose top is v at the scan's end, through barriers, to
+    # J = 400, where v falls to the scan's end and there is no well
+    _check_wells(db.get(name), [0, 1, 20, 50, 100, 150, 200, 250, 400])
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=physical_params, J_list=st.lists(st.integers(0, 600), min_size=1, max_size=6))
+def test_wells_found_at_once_match_the_running_maximum_on_drawn_molecules(p, J_list):
+    # eta > 0 puts a pole inside the scan for some: v peaks there
+    try:
+        _check_wells(p, J_list)
+    except ResolutionError:  # a scan point within 1e-9 A of the pole
+        assume(False)
+
+
+@pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
+def test_every_compared_row_is_converges_level(db, name):
+    # deviation_report boxes a J at its highest closed-form level, converge
+    # at the one level it solves, both inside the same well: every row
+    # agrees, up to J = 150, where the closed form's upper levels lie at
+    # or above the barrier top and past the WKB count
+    p = db.get(name)
+    model = from_params(p)
+    for J in (0, 50, 100, 150):
+        rows = deviation_report(p, list(range(0, 70, 10)), [J]).rows
+        assert rows
+        for row in rows:
+            E = converge(model, J, p.mu, row.nu).extrapolated
+            assert abs(E - row.E_oracle) <= DVR_TOL_CM1, (J, row.nu, E, row.E_oracle)
+
+
+def test_a_cell_past_the_well_fails_as_converge_fails_it(db):
+    # NO J = 100: the barrier tops out at 55,170.33 cm^-1 and its well
+    # counts 39.14 levels by WKB.  A box spanning the barrier once put the
+    # quasi-bound nu = 35 level at index 47, a row 5,068 cm^-1 off
+    p = db.get("NO")
+    with pytest.raises(ResolutionError) as past:
+        converge(from_params(p), 100, p.mu, 47)
+    report = deviation_report(p, [33, 35, 47], [100])
+    assert [row.nu for row in report.rows] == [33]
+    assert [(f.nu, f.error) for f in report.failures] == [
+        (35, "closed-form level at or above the well's top, 55170.33 cm^-1; "
+             "no oracle level"),
+        (47, "nu above the well: its WKB count at the top is 39.14; no oracle level"),
+    ]
+    assert str(past.value) == report.failures[1].error
+
+
 def test_deviation_report_fails_levels_below_the_well(tmp_path):
     # a row inside the range check whose closed form puts nu = 0 below the
     # effective potential's minimum (E = -799 cm^-1 at J = 0, -9.4e21 at
