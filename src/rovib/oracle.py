@@ -134,27 +134,29 @@ def _wells(model: TietzHua, J_list: list[int], k: float) -> _Wells:
     r = np.linspace(_R_MIN * model.re, _R_MAX * model.re, _SCAN)
     v = np.array([J * (J + 1) * k for J in J_list], dtype=float)[:, None] / r**2
     v += _potential(model, r)
-    (m, n), rows = v.shape, np.arange(len(v))
-    well, base = np.argmin(v, axis=1), rows * n  # base: each row's start in v.ravel()
+    n = r.size
+    well, base = v.argmin(axis=1), np.arange(0, v.size, n)  # base: row starts in v.ravel()
     # with the rows laid end to end, one reduceat finds the highest v
     # before each minimum and from it on, and one search the nearest
     # points with v >= top on each side (each side has one, unless the
     # minimum is the scan's first point, where top = lo)
-    top = np.maximum.reduceat(v.ravel(), np.stack([base, base + well], 1).ravel())
-    top = top.reshape(m, 2).min(axis=1)
+    side = np.maximum.reduceat(v.ravel(), np.column_stack((base, base + well)).ravel())
+    top = np.minimum(side[::2], side[1::2])
     wall = np.flatnonzero(v >= top[:, None])
-    after = np.searchsorted(wall, base + well)
+    after = wall.searchsorted(base + well)
     stop = wall[after] - base
     start = np.clip(wall[after - 1] + 1 - base, 0, stop)
-    inside = [v[i, a:b] for i, a, b in zip(range(m), start.tolist(), stop.tolist())]
-    # and one reduceat sums each row's phase at top (a row with no inside
-    # has none)
+    inside = [row[a:b] for row, a, b in zip(v, start.tolist(), stop.tolist())]
+    # and one reduceat sums each row's phase at top, over its inside laid
+    # end to end and a final 0 (a row with no inside has phase 0)
     size = stop - start
-    E_minus_v = np.repeat(top, size) - np.concatenate([r[:0], *inside])  # J_list may be []
-    phase = np.add.reduceat(np.append(np.sqrt(E_minus_v / k), 0.0), np.cumsum(size) - size)
+    x = np.concatenate([*inside, [0.0]])
+    np.subtract(np.repeat(top, size), x[:-1], out=x[:-1])
+    phase = np.add.reduceat(np.sqrt(x, out=x), np.cumsum(size) - size)
     dr = (r[-1] - r[0]) / (n - 1)
-    return _Wells(r, v, well.tolist(), v[rows, well].tolist(), top.tolist(),
-                  (np.where(size > 0, phase, 0.0) * dr / math.pi).tolist(), inside, k, dr)
+    phase *= (size > 0) * (dr / math.pi / math.sqrt(k))
+    return _Wells(r, v, well.tolist(), v.ravel()[base + well].tolist(), top.tolist(),
+                  phase.tolist(), inside, k, dr)
 
 
 def _dvr_levels(
