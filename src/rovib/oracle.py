@@ -109,7 +109,7 @@ class _Wells(NamedTuple):
         import numpy as np
 
         v = self.inside[row]
-        return np.sqrt((E - v[v < E]) / self.k).sum() * self.dr / math.pi
+        return np.sqrt(E - v[v < E]).sum() * (self.dr / math.pi / math.sqrt(self.k))
 
     def box(self, row: int, E_top: float) -> tuple[float, float, int]:
         """(r_min, r_max, N) for levels up to E_top, above lo: the well at
@@ -153,7 +153,7 @@ def _wells(model: TietzHua, J_list: list[int], k: float) -> _Wells:
     x = np.concatenate([*inside, [0.0]])
     np.subtract(np.repeat(top, size), x[:-1], out=x[:-1])
     phase = np.add.reduceat(np.sqrt(x, out=x), np.cumsum(size) - size)
-    dr = (r[-1] - r[0]) / (n - 1)
+    dr = float(r[-1] - r[0]) / (n - 1)
     phase *= (size > 0) * (dr / math.pi / math.sqrt(k))
     return _Wells(r, v, well.tolist(), v.ravel()[base + well].tolist(), top.tolist(),
                   phase.tolist(), inside, k, dr)
