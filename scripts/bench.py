@@ -11,7 +11,9 @@ needs scipy too, although rovib does not.
 
 BENCH_<label>.json, at the root of the checkout, holds {"label", "runs"};
 each run adds {"git_commit", "git_dirty", "command", "environment",
-"result"}: the checkout's HEAD and whether tracked files differ from it,
+"result"}: the checkout's HEAD and whether tracked files other than the
+BENCH_*.json files differ from it (this script rewrites those itself, so
+counting them would mark every run after a file's first as dirty),
 run.py's arguments, its details line (environment, seed, request count)
 and its last line, the metrics.  The details line's table and requests,
 which the seed regenerates, and its per-request samples are left out:
@@ -60,7 +62,8 @@ def main(argv=None) -> int:
                                                                 "runs": []}
     bench["runs"].append({
         "git_commit": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--",
+                              ".", ":(exclude,top)BENCH_*.json")),
         "command": ["perfbench/run.py", *run_args],
         "environment": detail,
         "result": json.loads(result),

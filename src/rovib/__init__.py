@@ -14,9 +14,9 @@ _SUBMODULE = {name: module for module, names in (
     ("database", "MoleculeDatabase SpectroscopicParams load_database"),
     ("oracle", "converge deviation_report"),
     ("potentials", "DerivedParams PForm alpha_dmrm derive "
-                   "evaluate from_params lambert_w0 to_pform verify_varshni"),
+                   "evaluate from_params to_pform verify_varshni"),
     ("rotational", "EffectiveCoefficients FactorizationCoefficients "
-                   "badawi_coefficients effective_coefficients greene_aldrich_approx"),
+                   "badawi_coefficients effective_coefficients"),
     ("spectrum", "EnergyLevel SusyIntermediates level level_table "
                  "morse_vibrational_energy susy_intermediates"),
 ) for name in names.split()}

@@ -50,7 +50,7 @@ from .rotational import (
     default_r_grid,
     greene_aldrich_error,
 )
-from .spectrum import level_table, morse_vibrational_energy
+from .spectrum import MAX_INDEX, level_table, morse_vibrational_energy
 from .units import wavenumber_to_roy_ev
 
 EXIT_USAGE = 2
@@ -58,7 +58,6 @@ EXIT_COMPUTE = 3
 
 STANDARD_J = "0,1,2,3,4,5,10,15,20"
 MAX_INDICES = 10_000  # indices in one --nu or --J list
-MAX_INDEX = 2**53  # largest --nu or --J index: the largest exact float64 integer
 MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
 # compare: len(--J) x --grid-points.  The largest allowed request, 32 J
 # each refined to MAX_BASIS, took 23 s and 97 MB on 2 vCPUs

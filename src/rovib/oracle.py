@@ -241,7 +241,8 @@ def converge(
     """Level nu at J of a TietzHua, converged to DVR_TOL_CM1 within
     n_points (at most MAX_BASIS) basis functions like deviation_report's
     rows, else ResolutionError naming the reason.  nu and J are
-    non-negative integers, as level_table takes them (ValueError else).
+    non-negative integers, as level_table takes them; the model's fields
+    are finite, De, re and b positive and eta not 1 (ValueError else).
 
     The box energy comes from the model's potential alone, not from the
     closed form: the WKB phase integral S(E) of sqrt((E - v) / k) dr over
@@ -260,6 +261,10 @@ def converge(
                          f"{nu}, {J}, {n_points}")
     if error := _index_error("nu", nu) or _index_error("J", J):
         raise ValueError(error)
+    if not (all(map(math.isfinite, model)) and min(model.De, model.re, model.b) > 0.0
+            and model.eta != 1.0):
+        raise ValueError(f"need finite model fields, De, re and b positive and "
+                         f"eta != 1, got {model}")
     nu, J = int(nu), int(J)
     k, n_max = kinetic_factor(mu), min(int(n_points), MAX_BASIS)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2

@@ -8,8 +8,8 @@ The deformed Schioberg potential
 
 is the Tietz-Hua oscillator, with Deng-Fan as its q = -1 case and Morse
 as its eta -> 0 limit.  One model, TietzHua, carries all of them; the
-schioberg and deng_fan constructors map those forms' parameters onto it.
-to_pform rewrites it in the rational P-form
+tests hold each form's mapping onto it as an identity.  to_pform
+rewrites it in the rational P-form
 
     U(r) = P1 + P2/(e^{b r} + q) + P3/(e^{b r} + q)^2
 
@@ -45,9 +45,7 @@ class DerivedParams(NamedTuple):
     """Shape parameters fixed by the minimum conditions.
 
     b = 2 alpha, u = b re, q = -eta e^u, beta = sqrt(Ke / 2 De) with Ke
-    the harmonic force constant we^2 * mu / (2 * hbar^2/2).  A and B are
-    the deformed Schioberg coefficients; A is +inf in the Morse limit
-    q = 0 where that form has no finite representation.
+    the harmonic force constant we^2 * mu / (2 * hbar^2/2).
     """
 
     b: float
@@ -55,27 +53,19 @@ class DerivedParams(NamedTuple):
     q: float
     Ke: float
     beta: float
-    A: float
-    B: float
 
 
 def derive(params: SpectroscopicParams) -> DerivedParams:
     """Fix the potential shape from the spectroscopic constants."""
     b = 2.0 * params.alpha
     u = b * params.re
-    eu = math.exp(u)
-    q = -params.eta * eu
+    q = -params.eta * math.exp(u)
     Ke = params.we**2 / (2.0 * kinetic_factor(params.mu))
     beta = math.sqrt(Ke / (2.0 * params.De))
-    # Morse limit (q = 0, or so close that q^2 underflows): the Schioberg
-    # offset coefficient runs away while A (B + 1)^2 stays De; B itself
-    # is well defined (-1).
-    A = math.inf if q**2 == 0.0 else params.De * (eu + q) ** 2 / (4.0 * q**2)
-    B = -(eu - q) / (eu + q)
-    for label, value in (("b", b), ("beta", beta), ("Ke", Ke), ("q", q), ("B", B)):
+    for label, value in (("b", b), ("beta", beta), ("Ke", Ke), ("q", q)):
         if not math.isfinite(value):
             raise ValueError(f"derived parameter {label} is not finite: {value}")
-    return DerivedParams(b=b, u=u, q=q, Ke=Ke, beta=beta, A=A, B=B)
+    return DerivedParams(b=b, u=u, q=q, Ke=Ke, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +75,8 @@ def derive(params: SpectroscopicParams) -> DerivedParams:
 class TietzHua(NamedTuple):
     """U(r) = De [(1 - e^{-b(r-re)}) / (1 - eta e^{-b(r-re)})]^2.
 
-    The one potential model: :func:`schioberg` and :func:`deng_fan`
-    build it from those forms' parameters, and eta = 0 is the Morse
-    potential De (1 - e^{-b(r-re)})^2.
+    The one potential model; eta = 0 is the Morse potential
+    De (1 - e^{-b(r-re)})^2.
     """
 
     De: float
@@ -109,26 +98,6 @@ class PForm(NamedTuple):
     P1: float
     P2: float
     P3: float
-
-
-def schioberg(A: float, B: float, q: float, alpha: float) -> TietzHua:
-    """The deformed Schioberg form A (B + tanh_q(alpha r))^2.
-
-    tanh_q(x) = (e^{2x} - q)/(e^{2x} + q).  Inverting
-    B = -(e^{2 alpha re} - q)/(e^{2 alpha re} + q) gives the minimum re;
-    then De = A (B + 1)^2, b = 2 alpha and eta = -q e^{-b re}.
-    """
-    ratio = q * (1.0 - B) / (1.0 + B)
-    if ratio <= 1.0:
-        raise ValueError("model has no minimum at positive radius")
-    b = 2.0 * alpha
-    re = math.log(ratio) / b
-    return TietzHua(De=A * (B + 1.0) ** 2, re=re, b=b, eta=-q * math.exp(-b * re))
-
-
-def deng_fan(De: float, re: float, lam: float) -> TietzHua:
-    """U(r) = De [1 - (e^{lam re} - 1)/(e^{lam r} - 1)]^2, the q = -1 case."""
-    return TietzHua(De=De, re=re, b=lam, eta=math.exp(-lam * re))
 
 
 def pole_radius(b: float, q: float) -> float | None:

@@ -25,6 +25,11 @@ from typing import NamedTuple
 from .potentials import PForm
 from .units import kinetic_factor
 
+# The library's largest nu or J, the largest integer a float64 holds
+# exactly.  Within the bounds of SpectroscopicParams no index up to it
+# overflows the centrifugal term or the closed form's (1 + 2 nu)^2.
+MAX_INDEX = 2**53
+
 
 class FactorizationCoefficients(NamedTuple):
     """Coefficients of the rational re^2/r^2 approximation."""
@@ -41,7 +46,6 @@ class EffectiveCoefficients(NamedTuple):
     Pt1: float  # cm^-1
     Pt2: float
     Pt3: float
-    gamma: float  # cm^-1, J(J+1) hbar^2/(2 mu re^2)
 
 
 def badawi_coefficients(u: float, eta: float) -> FactorizationCoefficients:
@@ -64,20 +68,13 @@ def badawi_coefficients(u: float, eta: float) -> FactorizationCoefficients:
 
 def centrifugal_strength(J, mu: float, re: float):
     """gamma = J(J+1) hbar^2/(2 mu) / re^2 in cm^-1, for one J or an array."""
-    bad = (J < 0) | (J % 1 != 0)  # a bool for one J, an array for an array
+    # a bool for one J, an array for an array
+    bad = (J < 0) | (J % 1 != 0) | (J > MAX_INDEX)
     if bad.any() if hasattr(bad, "any") else bad:
-        raise ValueError(f"J must be a non-negative integer, got {J}")
+        raise ValueError("J must be a non-negative integer at most 2**53")
     if re <= 0.0:
         raise ValueError(f"re must be positive, got {re}")
-    try:
-        return J * (J + 1) * kinetic_factor(mu) / re**2
-    except OverflowError:  # an int J(J+1) beyond float range: J in floats
-        try:
-            J = float(J)
-        except OverflowError:
-            raise ValueError("J must be a non-negative integer, got one beyond "
-                             "float range") from None
-        return J * (J + 1) * kinetic_factor(mu) / re**2
+    return J * (J + 1) * kinetic_factor(mu) / re**2
 
 
 def effective_coefficients(
@@ -87,16 +84,16 @@ def effective_coefficients(
     mu: float,
     re: float,
 ) -> EffectiveCoefficients:
-    """Pt_i = P_i + gamma C_i; at J = 0 the P-form passes through.
+    """Pt_i = P_i + gamma C_i, gamma = centrifugal_strength(J, mu, re);
+    at J = 0 the P-form passes through.
 
-    J may be an array of indices; Pt_i and gamma are then arrays too.
+    J may be an array of indices; Pt_i are then arrays too.
     """
     gamma = centrifugal_strength(J, mu, re)
     return EffectiveCoefficients(
         Pt1=pform.P1 + gamma * coeffs.C1,
         Pt2=pform.P2 + gamma * coeffs.C2,
         Pt3=pform.P3 + gamma * coeffs.C3,
-        gamma=gamma,
     )
 
 
@@ -129,25 +126,21 @@ def centrifugal_approx_error(
     return [(C1 + C2 / d + C3 / (d * d) - e) / e for d, e in zip(den, exact)]
 
 
-def greene_aldrich_approx(lam: float, r) -> list[float]:
-    """Exponential-basis approximation lam^2 (1/12 + e^{lam r}/(e^{lam r}-1)^2)
-    at each of the radii r.
+def greene_aldrich_error(lam: float, r) -> list[float]:
+    """Relative error, at each of the radii r, of the exponential-basis
+    approximation lam^2 (1/12 + e^{lam r}/(e^{lam r}-1)^2) of 1/r^2.
 
     The standard small-lam*r substitute for 1/r^2; kept as a pointwise
     comparator for the second-order matching above, no spectrum is
     derived from it.
     """
     lam2 = lam**2
-    els = [math.exp(lam * x) for x in _positive(r, "r")]
-    return [lam2 * (1.0 / 12.0 + el / ((el - 1.0) * (el - 1.0))) for el in els]
-
-
-def greene_aldrich_error(lam: float, r) -> list[float]:
-    """Relative error of the exponential-basis approximation of 1/r^2 at
-    each of the radii r."""
-    r = [float(x) for x in r]
-    return [(g - 1.0 / (x * x)) * (x * x)
-            for g, x in zip(greene_aldrich_approx(lam, r), r)]
+    out = []
+    for x in _positive(r, "r"):
+        el = math.exp(lam * x)
+        g = lam2 * (1.0 / 12.0 + el / ((el - 1.0) * (el - 1.0)))
+        out.append((g - 1.0 / (x * x)) * (x * x))
+    return out
 
 
 def default_r_grid(re: float, n: int = 200, pole: float | None = None) -> list[float]:

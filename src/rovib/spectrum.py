@@ -44,7 +44,8 @@ from .potentials import (
     from_params,
     to_pform,
 )
-from .rotational import EffectiveCoefficients, badawi_coefficients, effective_coefficients
+from .rotational import (MAX_INDEX, EffectiveCoefficients, badawi_coefficients,
+                         effective_coefficients)
 from .units import kinetic_factor
 
 # Largest nu x J grid that level_table evaluates in plain floats
@@ -69,7 +70,6 @@ class SusyIntermediates(NamedTuple):
     Q1t: float  # 1/Angstrom, negative for a normalizable state
     Q2t: float  # 1/Angstrom, positive root of the factorization quadratic
     E0: float  # cm^-1
-    branch: str  # "plus" for q > 0, "minus" for q < 0
 
 
 class LevelFailure(NamedTuple):
@@ -79,28 +79,13 @@ class LevelFailure(NamedTuple):
 
 
 def _index_error(label: str, value: int) -> str | None:
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond float range
-        return f"{label} must be a non-negative integer, got one beyond float range"
-    if x < 0 or x % 1:  # nan % 1 and inf % 1 are nan
+    """Why value is no index: negative, not whole (nan and inf included)
+    or above MAX_INDEX, past which J(J+1) and (1 + 2 nu)^2 could overflow."""
+    if value < 0 or value % 1:  # nan % 1 and inf % 1 are nan
         return f"{label} must be a non-negative integer, got {value}"
+    if value > MAX_INDEX:
+        return f"{label} must be a non-negative integer at most 2**53"
     return None
-
-
-def _nu_error(nu, q: float, kb2: float) -> str | None:
-    """_index_error for nu, or the failure of a nu whose terms q (1 + n^2)
-    and k b^2 n^2, n = 1 + 2 nu, overflow (its levels would be -inf)."""
-    if error := _index_error("nu", nu):
-        return error
-    n = 1.0 + 2.0 * float(nu)
-    if math.isfinite(q * (1.0 + n * n)) and math.isfinite(kb2 * n * n):
-        return None
-    return "nu too large: (1 + 2 nu)^2 overflows the closed form"
-
-
-# the failure of a J whose per-J terms (R^2, 4 Pt2 / k b^2, Pt1) overflow
-_J_BEYOND = "J too large: its centrifugal term J(J+1) hbar^2/(2 mu re^2) overflows"
 
 
 # the failure of a cell whose E is not finite: q s tiny against bracket's
@@ -140,17 +125,17 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
     """Rows and LevelFailures on the nu x J grid, row-major: the array kernel.
 
     eff holds Pt1..Pt3 as len(J) arrays, so R is per J, q s and E per
-    cell.  A cell fails with the first of its J error (a bad index, or
-    _J_BEYOND), its nu error (_nu_error), a negative radicand R^2, q s = 0
-    and an E that is not finite (_E_BEYOND).  The grid takes three float
-    arrays (q s, bracket, E), each written in place in the order of the
-    closed form's expression, and four bool masks.  The rows are built
-    with the garbage collector paused (_collector_paused).
+    cell.  A cell fails with the first of its J error, its nu error (a
+    bad index), a negative radicand R^2, q s = 0 and an E that is not
+    finite (_E_BEYOND).  The grid takes three float arrays (q s, bracket,
+    E), each written in place in the order of the closed form's
+    expression, and four bool masks.  The rows are built with the
+    garbage collector paused (_collector_paused).
     """
     import numpy as np
 
     q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
-    nu_errors = [_nu_error(nu, q, kb2) for nu in nu_list]
+    nu_errors = [_index_error("nu", nu) for nu in nu_list]
     # a failed nu's cells are computed at nu = 0 and discarded
     n = 1.0 + 2.0 * np.array([0.0 if e else float(nu)
                               for nu, e in zip(nu_list, nu_errors)])[:, None]
@@ -169,10 +154,6 @@ def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_erro
         np.float_power(bracket, 2.0, out=E)
         np.multiply(kb2, E, out=E)
         np.subtract(eff.Pt1, E, out=E)
-    finite = np.isfinite(R2) & np.isfinite(p2) & np.isfinite(eff.Pt1)
-    if not finite.all():
-        J_errors = [e or (None if ok else _J_BEYOND)
-                    for e, ok in zip(J_errors, finite.tolist())]
     failed = ~np.isfinite(E)
     failed |= np.equal(qs, 0.0)
     failed |= (R2 < 0.0) | np.array([e is not None for e in J_errors])
@@ -209,12 +190,10 @@ def _scalar_table(pform: PForm, effs: list[EffectiveCoefficients], nu_list, J_li
     per_J = []
     for J, J_error, eff in zip(J_list, J_errors, effs):
         R2, p2 = q**2 + 4.0 * eff.Pt3 / kb2, 4.0 * eff.Pt2 / kb2
-        if not (math.isfinite(R2) and math.isfinite(p2) and math.isfinite(eff.Pt1)):
-            J_error = J_error or _J_BEYOND
         per_J.append((J, J_error, R2, math.sqrt(max(R2, 0.0)), p2, eff.Pt1))
     cells, failures = [], []
     for nu in nu_list:
-        nu_error = _nu_error(nu, q, kb2)
+        nu_error = _index_error("nu", nu)
         n = 1.0 + 2.0 * (0.0 if nu_error else float(nu))
         qn, two_n, q_n2 = q * n, 2.0 * n, q * (1.0 + n * n)
         for J, J_error, R2, R, p2, Pt1 in per_J:
@@ -261,12 +240,7 @@ def susy_intermediates(
     if Q2t == 0.0:
         raise ValueError("superpotential degenerates (Q2t = 0)")
     Q1t = (eff.Pt2 / k - pform.b * bq_half + pform.b * S) / (2.0 * Q2t)
-    return SusyIntermediates(
-        Q1t=Q1t,
-        Q2t=Q2t,
-        E0=eff.Pt1 - k * Q1t**2,
-        branch="plus" if pform.q > 0.0 else "minus",
-    )
+    return SusyIntermediates(Q1t=Q1t, Q2t=Q2t, E0=eff.Pt1 - k * Q1t**2)
 
 
 def log_wavefunction(
@@ -324,10 +298,9 @@ def level_table(
     MAX_SCALAR_CELLS cells is evaluated cell by cell in plain floats
     (_scalar_table) and imports nothing; a larger one in one numpy pass
     (_table).  Both give the same rows and failures to the last bit.
-    Entries that fail (bad index, a J whose centrifugal term overflows,
-    a nu whose (1 + 2 nu)^2 overflows, negative radicand, an E beyond
-    float range) are collected as LevelFailure records instead of
-    aborting the table.
+    Entries that fail (bad index, negative radicand, an E beyond float
+    range) are collected as LevelFailure records instead of aborting the
+    table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")
@@ -343,7 +316,5 @@ def level_table(
         return _scalar_table(pform, effs, nu_list, J_list, params.mu, J_errors)
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):  # _table fails such a J
-        eff = effective_coefficients(pform, coeffs, np.array(J_values), params.mu,
-                                     params.re)
+    eff = effective_coefficients(pform, coeffs, np.array(J_values), params.mu, params.re)
     return _table(pform, eff, nu_list, J_list, params.mu, J_errors)

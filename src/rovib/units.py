@@ -30,8 +30,8 @@ EV_PER_WAVENUMBER = 1.23941188e-4
 
 def kinetic_factor(mu: float) -> float:
     """hbar^2/(2 mu) in cm^-1 Angstrom^2 for a reduced mass mu in amu."""
-    if mu <= 0.0:
-        raise ValueError(f"reduced mass must be positive, got {mu}")
+    if not 0.0 < mu < float("inf"):  # nan fails both
+        raise ValueError(f"reduced mass must be positive and finite, got {mu}")
     return HBAR2_OVER_2MU / mu
 
 
@@ -53,8 +53,3 @@ def wavenumber_to_roy_ev(energy: float, De: float) -> float:
     levels come out negative (bound) relative to dissociation.
     """
     return (energy - De) * EV_PER_WAVENUMBER
-
-
-def roy_ev_to_wavenumber(energy_ev: float, De: float) -> float:
-    """Exact inverse of :func:`wavenumber_to_roy_ev`."""
-    return De + energy_ev / EV_PER_WAVENUMBER

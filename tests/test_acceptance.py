@@ -24,12 +24,10 @@ from rovib.potentials import (
     SpectroscopicParams,
     TietzHua,
     alpha_dmrm,
-    deng_fan,
     derive,
     evaluate,
     from_params,
     lambert_w0,
-    schioberg,
     to_pform,
     verify_varshni,
 )
@@ -48,6 +46,7 @@ from reference_levels import (
     REFERENCE_LEVELS,
     benchmark_params,
 )
+from test_potentials import deng_fan_raw, schioberg_model, schioberg_raw, schioberg_triple
 
 J_COLUMNS = (0, 1, 2, 3, 4, 5, 10, 15, 20)
 NU_ROWS = (0, 3, 5)
@@ -181,9 +180,9 @@ def test_property_suite_is_fast_and_passes(db):
 
         # pointwise equivalence of the model variants
         u_th = evaluate(model, r)
-        ds = schioberg(A=d.A, B=d.B, q=d.q, alpha=params.alpha)
-        e2x = np.exp(2.0 * params.alpha * r)
-        u_ds = d.A * (d.B + (e2x - d.q) / (e2x + d.q)) ** 2
+        A, B, q = schioberg_triple(params)
+        ds = schioberg_model(A, B, q, params.alpha)
+        u_ds = schioberg_raw(A, B, q, params.alpha, r)
         assert np.max(np.abs(u_th - u_ds)) <= 1.0e-10 * params.De
         assert np.max(np.abs(evaluate(ds, r) - u_ds)) <= 1.0e-10 * params.De
         den = np.exp(pform.b * r) + pform.q
@@ -191,14 +190,9 @@ def test_property_suite_is_fast_and_passes(db):
         assert np.max(np.abs(u_th - u_pf)) <= 1.0e-10 * params.De
 
         # q = -1 reduction and the q -> 0 limit
-        u_df = params.De * (
-            1.0 - np.expm1(d.b * params.re) / np.expm1(d.b * r)
-        ) ** 2
-        for df in (
-            TietzHua(De=params.De, re=params.re, b=d.b, eta=math.exp(-d.u)),
-            deng_fan(De=params.De, re=params.re, lam=d.b),
-        ):
-            assert np.max(np.abs(evaluate(df, r) - u_df)) <= 1.0e-12 * params.De
+        df = TietzHua(De=params.De, re=params.re, b=d.b, eta=math.exp(-d.u))
+        u_df = deng_fan_raw(params.De, params.re, d.b, r)
+        assert np.max(np.abs(evaluate(df, r) - u_df)) <= 1.0e-12 * params.De
         u_morse = params.De * (1.0 - np.exp(-d.b * (r - params.re))) ** 2
         near_morse = TietzHua(De=params.De, re=params.re, b=d.b, eta=1.0e-8)
         assert np.max(

@@ -400,33 +400,54 @@ def test_csv_warns_about_rows_beyond_bound_range():
     assert result.exit_code == 0 and result.stderr == ""
 
 
-FRESH_INTERPRETER = """
+# Every command in every format, in three groups run in this order: the
+# closed-form commands of at most spectrum.MAX_SCALAR_CELLS cells (no
+# numpy), a larger table (numpy, no oracle), then compare (the oracle).
+SMALL_COMMANDS = [
+    "levels NO", "levels CO", "levels NO --nu 0..3 --J 0,20 --format csv",
+    "levels NO --nu 0..3 --J 0,20 --unit roy_eV --format json",
+    "levels NO --nu 0,3,5 --J 0..20 --format csv",
+    "morse NO", "morse N2", "morse N2 --format csv", "morse N2 --format json",
+    "varshni NO", "varshni NO --format json", "approx-error NO", "approx-error O2+",
+    "approx-error O2+ --format csv", "approx-error O2+ --format json",
+    "approx-error O2+ --points 10", "approx-error O2+ --points 10 --format csv",
+    "approx-error O2+ --points 10 --format json", "--help",
+]
+LARGE_TABLE = "levels NO --nu 0..5 --J 0..60 --format csv"
+COMPARE_COMMANDS = ["compare NO --nu 0 --J 0", "compare NO --nu 0 --J 0 --format csv",
+                    "compare NO --nu 0 --J 0 --format json"]
+ALL_COMMANDS = [*SMALL_COMMANDS, LARGE_TABLE, *COMPARE_COMMANDS]
+
+RUN_COMMANDS = """
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-def loaded(step):
-    print(step, "scipy" in sys.modules, "numpy" in sys.modules, file=sys.stderr)
-
-def run(args):
-    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-        try:
-            rovib.cli.main(args)
-        except SystemExit as exc:
-            assert exc.code in (0, 2), exc.code  # --help, levels CO
-    loaded(args[0])
-
 import rovib
 loaded("import rovib")
+from rovib.database import load_database
+load_database()
+loaded("load_database")
 import rovib.cli
 loaded("import rovib.cli")
-for args in (["levels", "NO"], ["morse", "NO"], ["--help"], ["levels", "CO"],
-             ["varshni", "NO"], ["approx-error", "NO"]):
-    run(args)
+for command in COMMANDS:
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            rovib.cli.main(command.split())
+        except SystemExit as exc:
+            assert exc.code in (0, 2), exc.code  # --help, levels CO
+    loaded(command)
+"""
+
+FRESH_INTERPRETER = f"""
+COMMANDS = {ALL_COMMANDS!r}
+
+def loaded(step):
+    print(step, "scipy" in sys.modules, "numpy" in sys.modules, file=sys.stderr)
+{RUN_COMMANDS}
 rovib.cli.main(["compare", "NO", "--nu", "0,3", "--J", "0,5",
                 "--grid-points", "2000", "--format", "csv"])
 loaded("compare")
-from rovib.database import load_database
 from rovib.oracle import converge
 from rovib.potentials import from_params
 params = load_database().get("NO")
@@ -437,15 +458,15 @@ loaded("converge")
 
 def test_no_command_loads_scipy():
     # a fresh interpreter, so that no other test's imports count; each
-    # line: step, scipy loaded, numpy loaded; only compare and converge
-    # need numpy
+    # line: step, scipy loaded, numpy loaded; only a table of more than
+    # spectrum.MAX_SCALAR_CELLS cells, compare and converge need numpy
     proc = fresh_rovib(["-c", FRESH_INTERPRETER])
     assert proc.returncode == 0, proc.stderr
+    no_numpy = ["import rovib", "load_database", "import rovib.cli", *SMALL_COMMANDS]
     assert proc.stderr.splitlines() == [
-        "import rovib False False", "import rovib.cli False False",
-        "levels False False", "morse False False", "--help False False",
-        "levels False False", "varshni False False", "approx-error False False",
-        "compare False True", "converge False True",
+        *(f"{step} False False" for step in no_numpy),
+        *(f"{step} False True" for step in [LARGE_TABLE, *COMPARE_COMMANDS,
+                                            "compare", "converge"]),
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
@@ -456,47 +477,31 @@ def test_no_command_loads_scipy():
     )
 
 
-SUBMODULES_LOADED = """
-import sys
-from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+SUBMODULES_LOADED = f"""
+COMMANDS = {ALL_COMMANDS!r}
 
 def loaded(step):
     print(step + ":", *sorted(m for m in sys.modules if m.startswith("rovib.")
-                              or m in ("click", "dataclasses")), file=sys.stderr)
-
-import rovib
-loaded("import rovib")
-from rovib.database import load_database
-load_database()
-loaded("load_database")
-import rovib.cli
-for args in (["levels", "NO"], ["morse", "NO"], ["varshni", "NO"],
-             ["approx-error", "NO"], ["--help"], ["compare", "NO", "--nu", "0"]):
-    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-        try:
-            rovib.cli.main(args)
-        except SystemExit as exc:
-            assert exc.code == 0, exc.code
-    loaded(args[0])
-"""
+                              or m in ("click", "dataclasses", "numpy")), file=sys.stderr)
+{RUN_COMMANDS}"""
 
 
 def test_each_call_loads_only_the_submodules_it_uses():
     # a fresh interpreter: import rovib loads no submodule, load_database
-    # no potential model, only compare loads the oracle, and no step loads
-    # dataclasses (which would import inspect, ast, dis and tokenize: about
-    # half of a cold start) or click
+    # no potential model and no numpy, only compare loads the oracle, and
+    # no step loads dataclasses (which would import inspect, ast, dis and
+    # tokenize: about half of a cold start) or click
     proc = fresh_rovib(["-c", SUBMODULES_LOADED])
     assert proc.returncode == 0, proc.stderr
     closed_form = "rovib.cli rovib.database rovib.potentials rovib.rotational " \
                   "rovib.spectrum rovib.units"
     assert proc.stderr.splitlines() == [
         "import rovib:", "load_database: rovib.database rovib.units",
-        *(f"{command}: {closed_form}"
-          for command in ("levels", "morse", "varshni", "approx-error", "--help")),
-        "compare: rovib.cli rovib.database rovib.oracle rovib.potentials "
-        "rovib.rotational rovib.spectrum rovib.units",
+        "import rovib.cli: " + closed_form,
+        *(f"{command}: {closed_form}" for command in SMALL_COMMANDS),
+        f"{LARGE_TABLE}: numpy {closed_form}",
+        *(f"{command}: numpy rovib.cli rovib.database rovib.oracle rovib.potentials "
+          "rovib.rotational rovib.spectrum rovib.units" for command in COMPARE_COMMANDS),
     ]
 
 

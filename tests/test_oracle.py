@@ -105,6 +105,22 @@ def test_converge_argument_validation():
             converge(MORSE, J, MU, nu, n_points=n_points)
 
 
+@pytest.mark.parametrize("model, mu, error", [
+    (MORSE, math.nan, "reduced mass must be positive and finite"),
+    (MORSE, math.inf, "reduced mass must be positive and finite"),
+    (MORSE._replace(De=math.nan), MU, "need finite model fields"),
+    (MORSE._replace(b=0.0), MU, "De, re and b positive"),
+    (MORSE._replace(re=-1.2), MU, "De, re and b positive"),
+    (MORSE._replace(eta=1.0), MU, "eta != 1"),
+], ids=["mu nan", "mu inf", "De nan", "b zero", "re negative", "eta one"])
+def test_converge_rejects_a_bad_model_or_mass_before_the_scan(bases, model, mu, error):
+    # a ValueError naming the field, not an IndexError, ZeroDivisionError
+    # or ResolutionError from the scan
+    with pytest.raises(ValueError, match=error):
+        converge(model, 0, mu, 0)
+    assert bases == []
+
+
 @pytest.mark.parametrize("n_points", [math.nan, math.inf, 100.5])
 def test_a_budget_that_is_not_a_whole_number_fails_before_any_solve(db, bases, n_points):
     # min(nan, MAX_BASIS) is nan, which fails every budget comparison: O2

@@ -12,13 +12,11 @@ from rovib.potentials import (
     SpectroscopicParams,
     TietzHua,
     alpha_dmrm,
-    deng_fan,
     derive,
     evaluate,
     from_params,
     lambert_w0,
     pole_radius,
-    schioberg,
     to_pform,
     verify_varshni,
 )
@@ -29,7 +27,8 @@ from test_spectrum import physical_params
 
 
 # ---------------------------------------------------------------------------
-# the raw forms the one model reproduces
+# the paper's forms as identities: each raw form, mapped onto TietzHua by
+# its own parameters, equals evaluate(TietzHua)
 
 
 def tanh_q(x, q):
@@ -41,8 +40,36 @@ def schioberg_raw(A, B, q, alpha, r):
     return A * (B + tanh_q(alpha * r, q)) ** 2
 
 
+def schioberg_triple(params):
+    """(A, B, q) of the deformed Schioberg form A (B + tanh_q(alpha r))^2
+    from the minimum conditions at re, with e^u = e^{2 alpha re}:
+    q = -eta e^u, B = -(e^u - q)/(e^u + q), A = De (e^u + q)^2 / (4 q^2)."""
+    eu = math.exp(2.0 * params.alpha * params.re)
+    q = -params.eta * eu
+    return params.De * (eu + q) ** 2 / (4.0 * q**2), -(eu - q) / (eu + q), q
+
+
+def schioberg_model(A, B, q, alpha):
+    """The TietzHua of a Schioberg triple: the minimum re inverts
+    B = -(e^{2 alpha re} - q)/(e^{2 alpha re} + q), then De = A (B + 1)^2,
+    b = 2 alpha and eta = -q e^{-b re}."""
+    b = 2.0 * alpha
+    re = math.log(q * (1.0 - B) / (1.0 + B)) / b
+    return TietzHua(De=A * (B + 1.0) ** 2, re=re, b=b, eta=-q * math.exp(-b * re))
+
+
 def deng_fan_raw(De, re, lam, r):
+    """De [1 - (e^{lam re} - 1)/(e^{lam r} - 1)]^2: TietzHua with b = lam
+    and eta = e^{-lam re}, the q = -1 case."""
     return De * (1.0 - np.expm1(lam * re) / np.expm1(lam * r)) ** 2
+
+
+def manning_rosen_raw(De, re, alpha, q_prime, r):
+    """The improved Manning-Rosen form De [1 - (e^{alpha re} - q')/
+    (e^{alpha r} - q')]^2 (Jia et al., J. Chem. Phys. 137, 014101 (2012)):
+    TietzHua with b = alpha and eta = q' e^{-alpha re}."""
+    return De * (1.0 - (np.exp(alpha * re) - q_prime)
+                 / (np.exp(alpha * r) - q_prime)) ** 2
 
 
 def morse_raw(De, re, beta, r):
@@ -92,11 +119,11 @@ def test_derive_relations(De, re, we, mu, alpha, eta):
     assert d.beta == pytest.approx(math.sqrt(d.Ke / (2.0 * De)), rel=1.0e-14)
     if eta == 0.0:
         assert d.q == 0.0
-        assert math.isinf(d.A)
-        assert d.B == -1.0
     else:
-        # the offset coefficient always restores the exact well depth
-        assert d.A * (d.B + 1.0) ** 2 == pytest.approx(De, rel=1.0e-12)
+        # the Schioberg offset coefficient always restores the well depth
+        A, B, q = schioberg_triple(params)
+        assert q == d.q
+        assert A * (B + 1.0) ** 2 == pytest.approx(De, rel=1.0e-12)
 
 
 def test_derived_beta_vs_tabulated(db):
@@ -217,25 +244,28 @@ def test_a_record_is_an_immutable_hashable_tuple(db):
 @pytest.mark.parametrize("name", list(PUBLISHED_PARAMS))
 def test_model_variants_agree_pointwise(db, name):
     p = db.get(name)
-    d = derive(p)
+    A, B, q = schioberg_triple(p)
     th = from_params(p)
-    ds = schioberg(A=d.A, B=d.B, q=d.q, alpha=p.alpha)
+    ds = schioberg_model(A, B, q, p.alpha)
     r = np.linspace(0.5 * p.re, 6.0 * p.re, 401)
     u_th = evaluate(th, r)
-    u_ds = schioberg_raw(d.A, d.B, d.q, p.alpha, r)
+    u_ds = schioberg_raw(A, B, q, p.alpha, r)
     assert np.max(np.abs(u_th - u_ds)) <= 1.0e-10 * p.De
     assert np.max(np.abs(evaluate(ds, r) - u_ds)) <= 1.0e-10 * p.De
     assert np.max(np.abs(u_th - pform_raw(to_pform(th), r))) <= 1.0e-10 * p.De
     # derived triples satisfy the minimum conditions, so the raw
     # squared-tanh form carries no constant offset
-    assert abs(schioberg_raw(d.A, d.B, d.q, p.alpha, ds.re)) <= 1.0e-10 * p.De
+    assert abs(schioberg_raw(A, B, q, p.alpha, ds.re)) <= 1.0e-10 * p.De
+    # the improved Manning-Rosen form with alpha = b, q' = eta e^{b re}
+    u_mr = manning_rosen_raw(p.De, p.re, th.b, p.eta * math.exp(th.b * p.re), r)
+    assert np.max(np.abs(u_th - u_mr)) <= 1.0e-10 * p.De
 
 
 def test_raw_triple_minimum_is_zero():
     # the squared bracket touches zero wherever the minimum is
     # reachable, even for a triple that derive() never produces
     A, B, q, alpha = 5.0e4, -0.9, 0.5, 1.3
-    model = schioberg(A, B, q, alpha)
+    model = schioberg_model(A, B, q, alpha)
     re = model.re
     assert re > 0.0
     offset = schioberg_raw(A, B, q, alpha, re)
@@ -248,9 +278,11 @@ def test_raw_triple_minimum_is_zero():
 
 
 def test_minimum_outside_domain_is_rejected():
-    # tanh_q never reaches -B = 0.2 at positive radius for q = 0.5
-    with pytest.raises(ValueError, match="no minimum"):
-        schioberg(A=5.0e4, B=-0.2, q=0.5, alpha=1.3)
+    # tanh_q never reaches -B = 0.2 at positive radius for q = 0.5: the
+    # raw form has no zero there, and the mapping's re is not positive
+    A, B, q, alpha = 5.0e4, -0.2, 0.5, 1.3
+    assert q * (1.0 - B) / (1.0 + B) <= 1.0
+    assert np.all(schioberg_raw(A, B, q, alpha, np.linspace(1.0e-6, 50.0, 2001)) > 0.0)
 
 
 def test_deng_fan_reduction(db):
@@ -259,12 +291,10 @@ def test_deng_fan_reduction(db):
         p = db.get(name)
         d = derive(p)
         th = TietzHua(De=p.De, re=p.re, b=d.b, eta=math.exp(-d.u))
-        df = deng_fan(De=p.De, re=p.re, lam=d.b)
         r = np.linspace(0.5 * p.re, 6.0 * p.re, 401)
         reference = deng_fan_raw(p.De, p.re, d.b, r)
         assert np.max(np.abs(evaluate(th, r) - reference)) <= 1.0e-12 * p.De
-        assert np.max(np.abs(evaluate(df, r) - reference)) <= 1.0e-12 * p.De
-        assert to_pform(df).q == -1.0
+        assert to_pform(th).q == -1.0
 
 
 def test_morse_limit(db):
@@ -273,7 +303,7 @@ def test_morse_limit(db):
     r = np.linspace(0.5 * p.re, 6.0 * p.re, 401)
     morse = morse_raw(p.De, p.re, b, r)
     exact = evaluate(TietzHua(De=p.De, re=p.re, b=b, eta=0.0), r)
-    assert np.max(np.abs(exact - morse)) <= 1.0e-12 * p.De
+    assert np.array_equal(exact, morse)  # bit for bit
     small = evaluate(TietzHua(De=p.De, re=p.re, b=b, eta=1.0e-8), r)
     assert np.max(np.abs(small - morse)) <= 1.0e-5 * p.De
 
@@ -402,7 +432,7 @@ def test_no_pole_for_bundled_molecules(db):
     for name in db.names:
         model = from_params(db.get(name))
         assert pole_radius(model.b, model.q) is None
-    for model in (deng_fan(De=5.0e4, re=1.2, lam=2.6),
+    for model in (TietzHua(De=5.0e4, re=1.2, b=2.6, eta=math.exp(-2.6 * 1.2)),  # q = -1
                   TietzHua(De=5.0e4, re=1.2, b=2.6, eta=0.0)):  # Morse
         assert pole_radius(model.b, model.q) is None
 
@@ -418,8 +448,7 @@ def test_pform_coefficient_identities(db):
 
 def test_equilibrium_radius_inversions(db):
     p = db.get("O2+")
-    d = derive(p)
-    ds = schioberg(A=d.A, B=d.B, q=d.q, alpha=p.alpha)
+    ds = schioberg_model(*schioberg_triple(p), p.alpha)
     pf = to_pform(from_params(p))
     # the P-form minimum sits where e^{b r} = -P2 / (2 P1) - q
     pform_re = math.log(-pf.P2 / (2.0 * pf.P1) - pf.q) / pf.b

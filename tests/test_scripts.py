@@ -3,9 +3,11 @@
 Each runs in a fresh interpreter with the package on PYTHONPATH and
 numpy RuntimeWarnings raised as errors.  The exit code is checked for
 every script; the kinetic-constant sweep's stdout is pinned here, the
-other scripts' numbers are pinned elsewhere.
+other scripts' numbers are pinned elsewhere.  bench.py runs on a stub
+benchmark in a scratch git checkout.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +57,36 @@ def test_kinetic_constant_trend_output():
     proc = run_script("kinetic_constant_trend.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == KINETIC_CONSTANT_TREND
+
+
+def test_bench_counts_only_source_changes_as_dirty(tmp_path):
+    # bench.py rewrites the tracked BENCH_<label>.json itself, so that
+    # file's own change must not mark the next run dirty
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "bench.py").write_text(
+        (ROOT / "scripts" / "bench.py").read_text())
+    (tmp_path / "perfbench").mkdir()
+    run_py = tmp_path / "perfbench" / "run.py"
+    run_py.write_text('print(\'{"seed": 1}\')\nprint(\'{"success_frac": 1.0}\')\n')
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    def bench():
+        subprocess.run([sys.executable, "scripts/bench.py", "--label", "t",
+                        "--workload", "cli"], cwd=tmp_path, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-qm", "source")
+    bench()
+    git("add", "BENCH_t.json")
+    git("commit", "-qm", "first run")
+    bench()
+    bench()  # BENCH_t.json now differs from HEAD
+    run_py.write_text(run_py.read_text() + "# edited\n")
+    bench()
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
+    assert [run["git_dirty"] for run in runs] == [False, False, False, True]

@@ -16,11 +16,12 @@ from rovib.potentials import (
     from_params,
     to_pform,
 )
-from rovib.rotational import badawi_coefficients, effective_coefficients
+from rovib.database import MAX_B_RE, MAX_MAGNITUDE
+from rovib.rotational import badawi_coefficients, centrifugal_strength, effective_coefficients
 from rovib.spectrum import (
+    MAX_INDEX,
     MAX_SCALAR_CELLS,
     EnergyLevel,
-    LevelFailure,
     SusyIntermediates,
     level,
     level_table,
@@ -88,16 +89,17 @@ def test_susy_fixture_values(db):
     assert s.Q1t == pytest.approx(-152.89591154227546, rel=1.0e-10)
     assert s.Q2t == pytest.approx(3465.6853650817893, rel=1.0e-10)
     assert s.E0 == pytest.approx(947.7568475647786, abs=1.0e-6)
-    assert s.branch == "minus"
 
 
 def test_branch_rule(db):
-    for name, want in (("NO", "minus"), ("O2", "minus"),
-                       ("O2+", "plus"), ("N2", "plus")):
+    # the positive root serves the minus branch (q < 0) and the plus
+    # branch (q > 0) alike
+    for name, plus in (("NO", False), ("O2", False), ("O2+", True), ("N2", True)):
         p = db.get(name)
         pf, eff = _pipeline(p, 0)
         s = susy_intermediates(pf, eff, p.mu)
-        assert s.branch == want
+        assert (pf.q > 0.0) is plus
+        assert s.Q2t > 0.0
         assert s.Q1t < 0.0  # normalizability
         if pf.q > 0.0:
             assert s.Q2t / (pf.b * pf.q) > 0.0
@@ -156,7 +158,7 @@ def test_ground_state_solves_the_radial_equation(db, J):
 
 
 def test_wavefunction_domain():
-    dummy = SusyIntermediates(Q1t=-1.0, Q2t=1.0, E0=0.0, branch="minus")
+    dummy = SusyIntermediates(Q1t=-1.0, Q2t=1.0, E0=0.0)
     pf = PForm(b=2.6, q=-20.36, P1=5.0e4, P2=-1.0e5, P3=5.0e4)
     with pytest.raises(ValueError):
         log_wavefunction(dummy, pf, 0.0)
@@ -443,58 +445,101 @@ def test_non_finite_indices_fail_like_any_bad_index(db, bad):
                 call()
 
 
-def test_indices_beyond_float_range_fail_like_any_bad_index(db):
-    # float(10**400) raises OverflowError, which used to escape both kernels
-    huge = 10**400
-    want = {"nu must be a non-negative integer, got one beyond float range",
-            "J must be a non-negative integer, got one beyond float range"}
-    for p in (db.get("NO"), _near_morse(0.0)):
-        for n in (2, MAX_SCALAR_CELLS):  # the scalar kernel, then the array one
-            rows, failures = level_table(p, [huge, *range(n)], [0, huge])
-            assert rows == level_table(p, list(range(n)), [0])[0]
-            assert [(f.nu, f.J) for f in failures] == [
-                (huge, 0), (huge, huge), *((i, huge) for i in range(n))]
-            assert {f.error for f in failures} == want
-        with pytest.raises(ValueError, match="nu must be .* beyond float range"):
-            level(p, huge, 0)
-        with pytest.raises(ValueError, match="J must be .* beyond float range"):
-            level(p, 0, huge)
-        with pytest.raises(ValueError, match="nu must be .* beyond float range"):
-            morse_vibrational_energy(p.De, p.we, huge)
+@pytest.mark.parametrize("index", [2**53, 2**53 + 1, 3.7e153, 1.0e200, 10**400],
+                         ids=["2**53", "2**53+1", "3.7e153", "1e200", "10**400"])
+def test_every_entry_point_takes_indices_up_to_2_53(db, index):
+    # past MAX_INDEX = 2**53 an index fails like any bad index, with one
+    # text that does not print its digits; up to it nothing overflows
+    from rovib.oracle import ResolutionError, converge, deviation_report
+
+    def error(call):
+        try:
+            call()
+        except (ValueError, ResolutionError) as exc:
+            return str(exc)
+        return None
+
+    beyond = index > MAX_INDEX
+    want = {label: f"{label} must be a non-negative integer at most 2**53"
+            for label in ("nu", "J")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in (db.get("NO"), _near_morse(0.0)):  # at q = 0, q * n^2 is 0
+            model = from_params(p)
+            small = level_table(p, [index, 0], [0, index])
+            # the array kernel, on the same four cells plus nu = 1..255
+            rows, failures = level_table(p, [index, 0, *range(1, MAX_SCALAR_CELLS)],
+                                         [0, index])
+            assert repr(small) == repr(([r for r in rows if r.nu in (0, index)],
+                                        [f for f in failures if f.nu in (0, index)]))
+            texts = [(f.nu, f.J, f.error) for f in small[1]]
+            if beyond:
+                assert texts == [(index, 0, want["nu"]), (index, index, want["J"]),
+                                 (0, index, want["J"])]
+                assert small[0] == level_table(p, [0], [0])[0]
+            else:
+                assert not any("must be a non-negative integer" in t for *_, t in texts)
+            for label, call in (
+                ("nu", lambda: level(p, index, 0)),
+                ("J", lambda: level(p, 0, index)),
+                ("nu", lambda: morse_vibrational_energy(p.De, p.we, index)),
+                ("nu", lambda: converge(model, 0, p.mu, index)),
+                ("J", lambda: converge(model, index, p.mu, 0)),
+                ("J", lambda: centrifugal_strength(index, p.mu, p.re)),
+            ):
+                text = error(call)
+                if beyond:
+                    assert text == want[label]
+                else:
+                    assert text is None or "must be a non-negative integer" not in text
+            for nu_list, J_list, label in (([index], [0], "nu"), ([0], [index], "J")):
+                report = deviation_report(p, nu_list, J_list, n_points=64)
+                texts = [f.error for f in report.failures]
+                if beyond:
+                    assert texts == [want[label]]
+                else:
+                    assert not any("must be a non-negative integer" in t for t in texts)
 
 
-@pytest.mark.parametrize("J", [10**200, 1.0e200, 10**155])
-def test_a_J_whose_centrifugal_term_overflows_fails_as_beyond_range(db, J):
-    # J(J+1) hbar^2/(2 mu re^2) past float range used to fail as "no real
-    # solution: discriminant -inf" with every digit of J (C3 < 0), or give
-    # a nan row (N2, C3 > 0), and warn of overflow in the array kernel
-    want = "J too large: its centrifugal term J(J+1) hbar^2/(2 mu re^2) overflows"
-    for name in db.names:
-        p = db.get(name)
-        assert level_table(p, [0], [J]) == ([], [LevelFailure(0, J, want)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows, failures = level_table(p, list(range(150)), [0, J])  # 300 cells
-        assert rows == level_table(p, list(range(150)), [0])[0]
-        assert failures == [LevelFailure(nu, J, want) for nu in range(150)]
-        with pytest.raises(ValueError, match=r"^J too large: "):
-            level(p, 0, J)
+_MAGNITUDE = st.floats(1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE) | st.sampled_from(
+    [1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE])
 
 
-@pytest.mark.parametrize("nu", [10**200, 1.0e200, 10**160, 6.6e153, 3.7e153])
-def test_a_nu_whose_square_overflows_fails_as_beyond_range(db, nu):
-    # (1 + 2 nu)^2, or q or k b^2 times it, past float range gave every
-    # level of the nu at E = -inf (NO from nu = 6.6e153, eta = 0 from 3.7e153)
-    want = "nu too large: (1 + 2 nu)^2 overflows the closed form"
-    for p in [*map(db.get, db.names), _near_morse(0.0), _near_morse(-0.05)]:
-        assert level_table(p, [nu], [0]) == ([], [LevelFailure(nu, 0, want)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows, failures = level_table(p, [0, nu], list(range(150)))  # 300 cells
-        assert rows == level_table(p, [0], list(range(150)))[0]
-        assert failures == [LevelFailure(nu, J, want) for J in range(150)]
-        with pytest.raises(ValueError, match=r"^nu too large: "):
-            level(p, nu, 0)
+@st.composite
+def records_at_the_bounds(draw):
+    """SpectroscopicParams anywhere its checks allow, edges included."""
+    re = draw(_MAGNITUDE)
+    cap = MAX_B_RE / (2.0 * re)  # 2 alpha re at most MAX_B_RE
+    if 2.0 * cap * re > MAX_B_RE:
+        cap = math.nextafter(cap, 0.0)
+    return SpectroscopicParams(
+        name="X", De=draw(_MAGNITUDE), re=re, we=draw(_MAGNITUDE), mu=draw(_MAGNITUDE),
+        alpha=min(draw(_MAGNITUDE), cap),
+        eta=draw(st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE).filter(lambda x: x != 1.0)
+                 | st.sampled_from([-MAX_MAGNITUDE, MAX_MAGNITUDE, 0.0, 1.0 - 1.0e-16])),
+    )
+
+
+_INDICES = st.lists(st.integers(0, MAX_INDEX) | st.sampled_from([MAX_INDEX, 0]),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=records_at_the_bounds(), nu_list=_INDICES, J_list=_INDICES)
+def test_no_record_overflows_at_indices_up_to_2_53(params, nu_list, J_list):
+    # both kernels, under RuntimeWarning as an error: a cell is a finite
+    # row or fails for a reason of the closed form, never of float range
+    # but _E_BEYOND, which nobody has shown cannot happen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, failures = level_table(params, nu_list, J_list)
+        copies = MAX_SCALAR_CELLS // (len(nu_list) * len(J_list)) + 1
+        wide = level_table(params, nu_list * copies, J_list)  # the array kernel
+    assert repr(wide) == repr((rows * copies, failures * copies))
+    assert all(math.isfinite(row.E) for row in rows)
+    for f in failures:
+        assert ("no real solution" in f.error or "q s = 0" in f.error
+                or f.error == spectrum._E_BEYOND), f
 
 
 def _scalar_energy(params, nu, J):
@@ -595,24 +640,6 @@ def test_kernels_agree_bit_for_bit_on_the_bundled_molecules(db, monkeypatch):
         errors |= {(name, f.error.split(":")[0].split(" must")[0]) for f in failures}
     assert errors == {(name, kind) for name in db.names for kind in ("J", "nu")} | {
         (name, "no real solution") for name in ("NO", "O2", "O2+")}
-
-
-def test_kernels_agree_past_overflow(db, monkeypatch):
-    # N2 at J = 1e140 with n q just short of R: q s is tiny, bracket is
-    # finite at 2.3e154 and its square overflows (float ** raises, pow
-    # gives inf), so the cell fails; at nu = 1e160 n^2 itself overflows,
-    # and the nu fails
-    nu_list, J_list = [0, int(1.298472335684575e140), 10**160], [0, 10**140]
-    scalar, array = _both_kernels(monkeypatch, db.get("N2"), nu_list, J_list)
-    assert scalar == array
-    assert scalar[0].count("E=-inf") == 0
-    assert scalar[1].count("LevelFailure(") == 3
-    assert scalar[1].count("nu too large") == 2
-    assert scalar[1].count("bracket^2 overflows") == 1
-    for eta in (0.0, 1.0e-15, -0.05):
-        scalar, array = _both_kernels(monkeypatch, _near_morse(eta),
-                                      [0, 3, 10**160, 2**53], [0, 7, 2**40])
-        assert scalar == array
 
 
 def test_grid_size_picks_the_kernel(db, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from rovib.units import (
     HBAR2_OVER_2MU_CODATA,
     kinetic_factor,
     mass_grams_to_amu,
-    roy_ev_to_wavenumber,
     wavenumber_to_roy_ev,
 )
 
@@ -55,7 +56,7 @@ def test_roy_shift_spot_values():
 )
 def test_roy_round_trip(energy, De):
     there = wavenumber_to_roy_ev(energy, De)
-    back = roy_ev_to_wavenumber(there, De)
+    back = De + there / EV_PER_WAVENUMBER
     assert back == pytest.approx(energy, rel=1.0e-12, abs=1.0e-7)
 
 
@@ -65,3 +66,11 @@ def test_positive_mass_required(bad):
         kinetic_factor(bad)
     with pytest.raises(ValueError):
         mass_grams_to_amu(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kinetic_factor_requires_a_finite_mass(bad):
+    # inf gave 0, which later divisions met as ZeroDivisionError; nan
+    # passed through into nan energies
+    with pytest.raises(ValueError, match="reduced mass must be positive and finite"):
+        kinetic_factor(bad)
