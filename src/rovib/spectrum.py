@@ -79,12 +79,13 @@ class LevelFailure(NamedTuple):
 
 
 def _index_error(label: str, value: int) -> str | None:
-    """Why value is no index: negative, not whole (nan and inf included)
-    or above MAX_INDEX, past which J(J+1) and (1 + 2 nu)^2 could overflow."""
-    if value < 0 or value % 1:  # nan % 1 and inf % 1 are nan
-        return f"{label} must be a non-negative integer, got {value}"
-    if value > MAX_INDEX:
+    """Why value is no index: above MAX_INDEX, past which J(J+1) and
+    (1 + 2 nu)^2 could overflow (a text without its digits, which may
+    run to hundreds), negative or not whole (nan and inf included)."""
+    if value % 1 == 0 and abs(value) > MAX_INDEX:  # nan % 1 and inf % 1 are nan
         return f"{label} must be a non-negative integer at most 2**53"
+    if value < 0 or value % 1:
+        return f"{label} must be a non-negative integer, got {value}"
     return None
 
 

@@ -335,6 +335,9 @@ def test_quantum_number_validation(db):
         level(p, -1, 0)
     with pytest.raises(ValueError, match="J must be"):
         level(p, 0, -2)
+    # a huge negative index gets the bound's text, without its 401 digits
+    with pytest.raises(ValueError, match=r"^nu must be a non-negative integer at most 2\*\*53$"):
+        level(p, -(10**400), 0)
 
 
 @pytest.mark.parametrize("nu, J", [(0, -2), (-1, 0), (0, 1300)])
