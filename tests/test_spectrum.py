@@ -22,6 +22,7 @@ from rovib.spectrum import (
     MAX_INDEX,
     MAX_SCALAR_CELLS,
     EnergyLevel,
+    LevelFailure,
     SusyIntermediates,
     level,
     level_table,
@@ -502,6 +503,63 @@ def test_every_entry_point_takes_indices_up_to_2_53(db, index):
                     assert texts == [want[label]]
                 else:
                     assert not any("must be a non-negative integer" in t for t in texts)
+
+
+def test_indices_beyond_float_range_fail_like_any_bad_index(db):
+    # float(10**400) raises OverflowError, which used to escape both kernels;
+    # such an index is past MAX_INDEX and fails with the bound's text
+    huge = 10**400
+    want = {"nu must be a non-negative integer at most 2**53",
+            "J must be a non-negative integer at most 2**53"}
+    for p in (db.get("NO"), _near_morse(0.0)):
+        for n in (2, MAX_SCALAR_CELLS):  # the scalar kernel, then the array one
+            rows, failures = level_table(p, [huge, *range(n)], [0, huge])
+            assert rows == level_table(p, list(range(n)), [0])[0]
+            assert [(f.nu, f.J) for f in failures] == [
+                (huge, 0), (huge, huge), *((i, huge) for i in range(n))]
+            assert {f.error for f in failures} == want
+        with pytest.raises(ValueError, match=r"^nu must be .* at most 2\*\*53$"):
+            level(p, huge, 0)
+        with pytest.raises(ValueError, match=r"^J must be .* at most 2\*\*53$"):
+            level(p, 0, huge)
+        with pytest.raises(ValueError, match=r"^nu must be .* at most 2\*\*53$"):
+            morse_vibrational_energy(p.De, p.we, huge)
+
+
+@pytest.mark.parametrize("J", [10**200, 1.0e200, 10**155])
+def test_a_J_whose_centrifugal_term_overflows_fails_as_beyond_range(db, J):
+    # J(J+1) hbar^2/(2 mu re^2) past float range used to fail as "no real
+    # solution: discriminant -inf" with every digit of J, or give a nan row;
+    # such a J is past MAX_INDEX and fails on every molecule, in both
+    # kernels, without a warning and without touching the other cells
+    want = "J must be a non-negative integer at most 2**53"
+    for name in db.names:
+        p = db.get(name)
+        assert level_table(p, [0], [J]) == ([], [LevelFailure(0, J, want)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, failures = level_table(p, list(range(150)), [0, J])  # 300 cells
+        assert rows == level_table(p, list(range(150)), [0])[0]
+        assert failures == [LevelFailure(nu, J, want) for nu in range(150)]
+        with pytest.raises(ValueError, match=r"^J must be .* at most 2\*\*53$"):
+            level(p, 0, J)
+
+
+@pytest.mark.parametrize("nu", [10**200, 1.0e200, 10**160, 6.6e153, 3.7e153])
+def test_a_nu_whose_square_overflows_fails_as_beyond_range(db, nu):
+    # (1 + 2 nu)^2, or q or k b^2 times it, past float range gave every
+    # level of the nu at E = -inf (NO from nu = 6.6e153, eta = 0 from
+    # 3.7e153); such a nu is past MAX_INDEX and fails like any bad index
+    want = "nu must be a non-negative integer at most 2**53"
+    for p in [*map(db.get, db.names), _near_morse(0.0), _near_morse(-0.05)]:
+        assert level_table(p, [nu], [0]) == ([], [LevelFailure(nu, 0, want)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, failures = level_table(p, [0, nu], list(range(150)))  # 300 cells
+        assert rows == level_table(p, [0], list(range(150)))[0]
+        assert failures == [LevelFailure(nu, J, want) for J in range(150)]
+        with pytest.raises(ValueError, match=r"^nu must be .* at most 2\*\*53$"):
+            level(p, nu, 0)
 
 
 _MAGNITUDE = st.floats(1.0 / MAX_MAGNITUDE, MAX_MAGNITUDE) | st.sampled_from(
