@@ -36,6 +36,7 @@ from . import __version__
 from .database import DatabaseError, UnknownMoleculeError, load_database
 from .potentials import (
     MAX_BASIS,
+    MAX_ORACLE_POINTS,
     SingularRadiusError,
     SpectroscopicParams,
     alpha_dmrm,
@@ -50,7 +51,7 @@ from .rotational import (
     default_r_grid,
     greene_aldrich_error,
 )
-from .spectrum import MAX_INDEX, level_table, morse_vibrational_energy
+from .spectrum import MAX_INDEX, MAX_PAIRS, level_table, morse_vibrational_energy
 from .units import wavenumber_to_roy_ev
 
 EXIT_USAGE = 2
@@ -58,10 +59,6 @@ EXIT_COMPUTE = 3
 
 STANDARD_J = "0,1,2,3,4,5,10,15,20"
 MAX_INDICES = 10_000  # indices in one --nu or --J list
-MAX_PAIRS = 250_000  # (nu, J) pairs in one levels or compare request
-# compare: len(--J) x --grid-points.  The largest allowed request, 32 J
-# each refined to MAX_BASIS, took 23 s and 97 MB on 2 vCPUs
-MAX_ORACLE_POINTS = 2**16
 MAX_SCAN_POINTS = 100_000  # approx-error --points
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .potentials import (MAX_BASIS, SingularRadiusError, TietzHua, evaluate,
-                         from_params)
+from .potentials import (MAX_BASIS, MAX_ORACLE_POINTS, SingularRadiusError, TietzHua,
+                         evaluate, from_params)
 from .spectrum import LevelFailure, _index_error, level_table
 from .units import kinetic_factor
 
@@ -215,10 +215,13 @@ def _dvr_levels(
     return out
 
 
-def _whole_budget(n_points) -> bool:
-    """n_points is a whole number >= 4.  nan fails every comparison, so a
-    nan budget would never stop the refinement's doubling."""
-    return n_points >= 4 and n_points % 1 == 0
+def _budget(n_points) -> int:
+    """min(n_points, MAX_BASIS) of a whole n_points >= 4, else ValueError.
+    nan fails every comparison, so a nan budget would never stop the
+    refinement's doubling."""
+    if not (n_points >= 4 and n_points % 1 == 0):
+        raise ValueError("need a whole n_points >= 4")
+    return min(int(n_points), MAX_BASIS)
 
 
 class ConvergeResult(NamedTuple):
@@ -256,17 +259,15 @@ def converge(
     """
     import numpy as np
 
-    if nu < 0 or J < 0 or not _whole_budget(n_points):
-        raise ValueError(f"need nu >= 0, J >= 0 and a whole n_points >= 4, got "
-                         f"{nu}, {J}, {n_points}")
     if error := _index_error("nu", nu) or _index_error("J", J):
         raise ValueError(error)
+    n_max = _budget(n_points)
     if not (all(map(math.isfinite, model)) and min(model.De, model.re, model.b) > 0.0
             and model.eta != 1.0):
         raise ValueError(f"need finite model fields, De, re and b positive and "
                          f"eta != 1, got {model}")
     nu, J = int(nu), int(J)
-    k, n_max = kinetic_factor(mu), min(int(n_points), MAX_BASIS)
+    k = kinetic_factor(mu)
     if nu >= n_max // 2:  # _dvr_levels' last N is at most n_max // 2
         raise ResolutionError(_ABOVE_BASIS.format(n_max))
     wells = _wells(model, [J], k)
@@ -312,16 +313,21 @@ def deviation_report(
 ) -> DeviationReport:
     """Compare closed-form levels with sinc-DVR eigenvalues (per row the
     2N value, |E_N - E_2N| and 2N).  n_points is the largest basis the
-    refinement may build, at most MAX_BASIS.  Each J's well is converge's:
-    a cell past its WKB count, as converge fails it, or whose closed-form
-    level lies at or above the well's top is a LevelFailure, as is a cell
-    beyond the bound range, one _dvr_levels gives a reason for, or one
-    whose potential samples hit the pole.  The rest box at the highest
-    closed-form level of their J."""
-    if not nu_list or not J_list or not _whole_budget(n_points):
-        raise ValueError("need non-empty nu_list and J_list and a whole n_points >= 4")
+    refinement may build, at most MAX_BASIS; more than MAX_ORACLE_POINTS
+    basis functions over the J values raise ValueError before any solve.
+    Each J's well is converge's: a cell past its WKB count, as converge
+    fails it, or whose closed-form level lies at or above the well's top
+    is a LevelFailure, as is a cell beyond the bound range, one
+    _dvr_levels gives a reason for, or one whose potential samples hit
+    the pole.  The rest box at the highest closed-form level of their J."""
+    if not nu_list or not J_list:
+        raise ValueError("need non-empty nu_list and J_list")
+    n_max = _budget(n_points)
+    if len(J_list) * n_max > MAX_ORACLE_POINTS:
+        raise ValueError(f"J_list x n_points asks for {len(J_list) * n_max} oracle "
+                         f"basis functions; the limit is {MAX_ORACLE_POINTS}")
     rows_closed, failures = level_table(params, nu_list, J_list)
-    model, n_max = from_params(params), min(int(n_points), MAX_BASIS)
+    model = from_params(params)
     cells_by_J: dict[int, list] = {}
     for row in rows_closed:
         if row.bound:

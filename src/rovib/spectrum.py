@@ -19,13 +19,14 @@ eta -> 0, and at q = 0 E is exactly the Morse level
 De - k b^2 (sqrt(De/k)/b - (nu + 1/2))^2.  Taking R >= 0 keeps the
 ground state normalizable on either side of q = 0.
 
-level_table evaluates E in one of two kernels, chosen by grid size: in
-plain floats cell by cell up to MAX_SCALAR_CELLS cells, so that small
-requests never import numpy, and in one numpy pass above.  Both take
-the same operations in the same order and agree to the last bit.  The
-numpy kernel builds its rows with the cyclic garbage collector paused:
-EnergyLevel rows, a tuple subclass, stay tracked, and a manifold of
-~14,000 of them would otherwise start about 19 collections.
+level_table takes at most MAX_PAIRS cells and evaluates E in one of
+two kernels, chosen by grid size: in plain floats cell by cell up to
+MAX_SCALAR_CELLS cells, so that small requests never import numpy, and
+in one numpy pass above.  Both call one expression of the closed form,
+_closed_form, and agree to the last bit.  The numpy kernel builds its
+rows with the cyclic garbage collector paused: EnergyLevel rows, a
+tuple subclass, stay tracked, and a manifold of ~14,000 of them would
+otherwise start about 19 collections.
 """
 
 from __future__ import annotations
@@ -36,24 +37,19 @@ from contextlib import contextmanager
 from itertools import compress, repeat
 from typing import NamedTuple
 
-from .potentials import (
-    PForm,
-    SingularRadiusError,
-    SpectroscopicParams,
-    derive,
-    from_params,
-    to_pform,
-)
+from .potentials import (PForm, SingularRadiusError, SpectroscopicParams, derive,
+                         from_params, to_pform)
 from .rotational import (MAX_INDEX, EffectiveCoefficients, badawi_coefficients,
                          effective_coefficients)
 from .units import kinetic_factor
 
+MAX_PAIRS = 250_000  # (nu, J) cells in one level_table call
 # Largest nu x J grid that level_table evaluates in plain floats
-# (_scalar_table) rather than with numpy (_table).  With numpy loaded, on
-# a 2-vCPU x86 host, a table of 16 cells took 41 us against 103 us, 144
-# cells 140 against 151 us, 256 cells 220 against 194 us and 500 cells
-# 313 against 267 us.  Up to here a request never imports numpy, which
-# saves a fresh interpreter about 0.17 s.
+# (_scalar_table) rather than with numpy (_table), so that a request up to
+# here never imports numpy, which costs a fresh interpreter about 0.17 s.
+# With numpy loaded (2-vCPU x86 host), 16 cells took 35 us against 70 us,
+# 64 cells 96 against 88 us and 256 cells 320 against 140 us: past ~60
+# cells plain floats are slower, by at most 0.2 ms.
 MAX_SCALAR_CELLS = 256
 
 
@@ -90,7 +86,7 @@ def _index_error(label: str, value: int) -> str | None:
 
 
 # the failure of a cell whose E is not finite: q s tiny against bracket's
-# numerator, so bracket^2 overflows though n and R are finite
+# numerator, so bracket^2 or k b^2 bracket^2 overflows, n and R finite
 _E_BEYOND = "level beyond float range: the closed form's bracket^2 overflows"
 
 
@@ -122,96 +118,83 @@ def _collector_paused():
             gc.enable()
 
 
-def _table(pform: PForm, eff: EffectiveCoefficients, nu_list, J_list, mu, J_errors):
+class _PlainFloats:
+    """The numpy functions _closed_form calls, on plain floats: pow is
+    inf where float ** raises OverflowError, as IEEE pow is, and a
+    division by q s = 0, a cell that fails, is nan."""
+
+    maximum, sqrt, isfinite = max, math.sqrt, math.isfinite
+    divide = staticmethod(lambda a, b: a / b if b else math.nan)
+
+    @staticmethod
+    def float_power(x: float, p: float) -> float:
+        try:
+            return x**p
+        except OverflowError:
+            return math.inf
+
+
+def _closed_form(xp, q: float, kb2: float, n, eff: EffectiveCoefficients):
+    """R^2, q s, E, the bound flag and whether the cell has a level (R^2
+    >= 0, q s != 0, E finite) at n = 1 + 2 nu and eff, in floats (xp =
+    _PlainFloats) or in broadcasting numpy arrays (xp = numpy).
+
+    bracket^2 is libm pow in both (float ** 2, np.float_power): an
+    array's ** 2 multiplies, which rounds a few cells per 10^4
+    differently.  Past the zero of q s (eta < 0) bracket turns negative
+    again, at large negative E; only cells with q s > 0 are bound.
+    """
+    R2 = q**2 + 4.0 * eff.Pt3 / kb2
+    R = xp.sqrt(xp.maximum(R2, 0.0))
+    qs = R - q * n
+    bracket = xp.divide(4.0 * eff.Pt2 / kb2 + 2.0 * n * R - q * (1.0 + n * n), 4.0 * qs)
+    E = eff.Pt1 - kb2 * xp.float_power(bracket, 2.0)
+    ok = (R2 >= 0.0) & (qs != 0.0) & xp.isfinite(E)
+    return R2, qs, E, (bracket < 0.0) & (qs > 0.0), ok
+
+
+def _table(q, kb2, nu_list, J_list, eff, ns, nu_errors, J_errors):
     """Rows and LevelFailures on the nu x J grid, row-major: the array kernel.
 
-    eff holds Pt1..Pt3 as len(J) arrays, so R is per J, q s and E per
-    cell.  A cell fails with the first of its J error, its nu error (a
-    bad index), a negative radicand R^2, q s = 0 and an E that is not
-    finite (_E_BEYOND).  The grid takes three float arrays (q s, bracket,
-    E), each written in place in the order of the closed form's
-    expression, and four bool masks.  The rows are built with the
-    garbage collector paused (_collector_paused).
+    eff holds Pt1..Pt3 as len(J) arrays and ns, n = 1 + 2 nu per nu,
+    becomes a column, so R^2 is per J, q s and E per cell.  A cell fails
+    with the first of its J error, its nu error, a negative R^2, q s = 0
+    and an E that is not finite (_E_BEYOND).  The rows are built with
+    the garbage collector paused (_collector_paused).
     """
     import numpy as np
 
-    q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
-    nu_errors = [_index_error("nu", nu) for nu in nu_list]
-    # a failed nu's cells are computed at nu = 0 and discarded
-    n = 1.0 + 2.0 * np.array([0.0 if e else float(nu)
-                              for nu, e in zip(nu_list, nu_errors)])[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        R2, p2 = q**2 + 4.0 * eff.Pt3 / kb2, 4.0 * eff.Pt2 / kb2  # per J
-        R = np.sqrt(np.maximum(R2, 0.0))
-        qs = R - q * n
-        # bracket = (4 Pt2/kb2 + 2 n R - q (1 + n**2)) / (4 q s)
-        bracket = np.multiply(2.0 * n, R)
-        np.add(p2, bracket, out=bracket)
-        np.subtract(bracket, q * (1.0 + n**2), out=bracket)
-        E = np.multiply(4.0, qs)
-        np.divide(bracket, E, out=bracket)
-        # float_power squares with libm pow as float ** 2 does; ** and
-        # np.power on arrays round a few cells per 10^4 differently
-        np.float_power(bracket, 2.0, out=E)
-        np.multiply(kb2, E, out=E)
-        np.subtract(eff.Pt1, E, out=E)
-    failed = ~np.isfinite(E)
-    failed |= np.equal(qs, 0.0)
-    failed |= (R2 < 0.0) | np.array([e is not None for e in J_errors])
-    failed[[e is not None for e in nu_errors]] = True
-    # past the zero of q s (eta < 0) bracket turns negative again, at
-    # large negative E; only cells with q s > 0 are bound
-    bound_cells = np.less(bracket, 0.0)
-    bound_cells &= qs > 0.0
+        R2, qs, E, bound, ok = _closed_form(np, q, kb2, np.array(ns)[:, None], eff)
+    ok &= np.array([e is None for e in J_errors])
+    ok[[e is not None for e in nu_errors]] = False
     with _collector_paused():
         # one C-level pass over the flat grid: tuple.__new__ is
         # EnergyLevel._make without its per-row Python call
         cells = zip([nu for nu in nu_list for _ in J_list], list(J_list) * len(nu_list),
-                    E.ravel().tolist(), bound_cells.ravel().tolist())
+                    E.ravel().tolist(), bound.ravel().tolist())
         rows = list(map(tuple.__new__, repeat(EnergyLevel),
-                        compress(cells, (~failed).ravel().tolist())))
+                        compress(cells, ok.ravel().tolist())))
         failures = [
             LevelFailure(nu_list[i], J_list[j], J_errors[j] or nu_errors[i]
                          or _failure_text(nu_list[i], J_list[j], R2[j], qs[i, j]))
-            for i, j in np.argwhere(failed).tolist()
+            for i, j in np.argwhere(~ok).tolist()
         ]
     return rows, failures
 
 
-def _scalar_table(pform: PForm, effs: list[EffectiveCoefficients], nu_list, J_list,
-                  mu, J_errors):
-    """_table in plain floats, one EffectiveCoefficients per J.
-
-    Each cell takes _table's operations in _table's order: n * n where
-    the array squares n, pow for bracket^2 (inf where float ** raises
-    OverflowError, as IEEE pow gives), so both kernels agree bit for
-    bit, failure texts included.
-    """
-    q, kb2 = pform.q, kinetic_factor(mu) * pform.b**2
-    per_J = []
-    for J, J_error, eff in zip(J_list, J_errors, effs):
-        R2, p2 = q**2 + 4.0 * eff.Pt3 / kb2, 4.0 * eff.Pt2 / kb2
-        per_J.append((J, J_error, R2, math.sqrt(max(R2, 0.0)), p2, eff.Pt1))
+def _scalar_table(q, kb2, nu_list, J_list, effs, ns, nu_errors, J_errors):
+    """_table cell by cell in plain floats, one EffectiveCoefficients per
+    J: the same _closed_form and the same failures, bit for bit."""
     cells, failures = [], []
-    for nu in nu_list:
-        nu_error = _index_error("nu", nu)
-        n = 1.0 + 2.0 * (0.0 if nu_error else float(nu))
-        qn, two_n, q_n2 = q * n, 2.0 * n, q * (1.0 + n * n)
-        for J, J_error, R2, R, p2, Pt1 in per_J:
-            qs = R - qn
-            if J_error or nu_error or R2 < 0.0 or qs == 0.0:
+    for nu, n, nu_error in zip(nu_list, ns, nu_errors):
+        for J, J_error, eff in zip(J_list, J_errors, effs):
+            R2, qs, E, bound, ok = _closed_form(_PlainFloats, q, kb2, n, eff)
+            if ok and not (J_error or nu_error):
+                cells.append((nu, J, E, bound))
+            else:
                 failures.append(LevelFailure(nu, J, J_error or nu_error
                                              or _failure_text(nu, J, R2, qs)))
-                continue
-            bracket = (p2 + two_n * R - q_n2) / (4.0 * qs)
-            try:
-                E = Pt1 - kb2 * bracket**2
-            except OverflowError:
-                E = -math.inf
-            if math.isfinite(E):
-                cells.append((nu, J, E, bracket < 0.0 and qs > 0.0))
-            else:
-                failures.append(LevelFailure(nu, J, _E_BEYOND))
     return list(map(tuple.__new__, repeat(EnergyLevel), cells)), failures
 
 
@@ -293,29 +276,36 @@ def level(params: SpectroscopicParams, nu: int, J: int) -> EnergyLevel:
 def level_table(
     params: SpectroscopicParams, nu_list: list[int], J_list: list[int]
 ) -> tuple[list[EnergyLevel], list[LevelFailure]]:
-    """Levels for every (nu, J) pair, row-major in nu then J.
+    """Levels for every (nu, J) pair, row-major in nu then J; more than
+    MAX_PAIRS pairs raise ValueError before any work.
 
-    The per-molecule steps run once per call.  A grid of at most
-    MAX_SCALAR_CELLS cells is evaluated cell by cell in plain floats
-    (_scalar_table) and imports nothing; a larger one in one numpy pass
-    (_table).  Both give the same rows and failures to the last bit.
-    Entries that fail (bad index, negative radicand, an E beyond float
-    range) are collected as LevelFailure records instead of aborting the
-    table.
+    The per-molecule and per-index steps run once per call.  A grid of
+    at most MAX_SCALAR_CELLS cells is evaluated cell by cell in plain
+    floats (_scalar_table) and imports nothing; a larger one in one numpy
+    pass (_table).  Both give the same rows and failures to the last bit.
+    Entries that fail (bad index, negative radicand, q s = 0, an E beyond
+    float range) are collected as LevelFailure records instead of
+    aborting the table.
     """
     if not nu_list or not J_list:
         raise ValueError("nu_list and J_list must be non-empty")
+    if len(nu_list) * len(J_list) > MAX_PAIRS:
+        raise ValueError(f"nu_list x J_list asks for {len(nu_list) * len(J_list)} "
+                         f"levels; the limit is {MAX_PAIRS}")
     J_errors = [_index_error("J", J) for J in J_list]
     derived = derive(params)
     pform = to_pform(from_params(params))
     coeffs = badawi_coefficients(derived.u, params.eta)
-    # a failed J's cells are computed at J = 0 and discarded
-    J_values = [0.0 if e else float(J) for J, e in zip(J_list, J_errors)]
+    nu_errors = [_index_error("nu", nu) for nu in nu_list]
+    # a failed index's cells are computed at index 0 and discarded
+    ns = [1.0 + 2.0 * (0.0 if e else float(nu)) for nu, e in zip(nu_list, nu_errors)]
+    Js = [0.0 if e else float(J) for J, e in zip(J_list, J_errors)]
+    request = (pform.q, kinetic_factor(params.mu) * pform.b**2, nu_list, J_list)
     if len(nu_list) * len(J_list) <= MAX_SCALAR_CELLS:
         effs = [effective_coefficients(pform, coeffs, J, params.mu, params.re)
-                for J in J_values]
-        return _scalar_table(pform, effs, nu_list, J_list, params.mu, J_errors)
+                for J in Js]
+        return _scalar_table(*request, effs, ns, nu_errors, J_errors)
     import numpy as np
 
-    eff = effective_coefficients(pform, coeffs, np.array(J_values), params.mu, params.re)
-    return _table(pform, eff, nu_list, J_list, params.mu, J_errors)
+    eff = effective_coefficients(pform, coeffs, np.array(Js), params.mu, params.re)
+    return _table(*request, eff, ns, nu_errors, J_errors)

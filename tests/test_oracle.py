@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from rovib.oracle import (
     deviation_report,
     dvr_eigenvalues,
 )
-from rovib.potentials import (SpectroscopicParams, TietzHua, derive, evaluate,
+from rovib.potentials import (MAX_ORACLE_POINTS, SpectroscopicParams, TietzHua, derive,
+                              evaluate,
                               from_params, pole_radius)
 from rovib.rotational import badawi_coefficients
 from rovib.spectrum import level_table
@@ -100,9 +102,19 @@ def test_dvr_eigenvalues_solves_a_stack_row_by_row():
 
 
 def test_converge_argument_validation():
-    for J, nu, n_points in ((-1, 0, 100), (0, -1, 100), (0, 0, 3)):
-        with pytest.raises(ValueError, match="need nu >= 0"):
+    for J, nu, n_points, error in (
+        (-1, 0, 100, "J must be a non-negative integer, got -1"),
+        (0, -1, 100, "nu must be a non-negative integer, got -1"),
+        (0, 0, 3, "need a whole n_points >= 4"),
+    ):
+        with pytest.raises(ValueError, match=error):
             converge(MORSE, J, MU, nu, n_points=n_points)
+    # an index far below zero is named without its 400 digits
+    for J, nu in ((0, -(10**400)), (-(10**400), 0)):
+        with pytest.raises(ValueError, match=r"must be a non-negative integer at most "
+                                             r"2\*\*53$") as info:
+            converge(MORSE, J, MU, nu)
+        assert not re.search(r"\d{3}", str(info.value))
 
 
 @pytest.mark.parametrize("model, mu, error", [
@@ -439,6 +451,20 @@ def test_deviation_report_fails_levels_below_the_well(tmp_path):
         (0, 0, below), (0, 10, below),
         (2, 0, "beyond the bound range; no oracle level"), (2, 10, below),
     ]
+
+
+def test_deviation_report_bounds_its_oracle_work(db, bases):
+    # len(J_list) x min(n_points, MAX_BASIS) basis functions at most: 33 J
+    # at the default budget are refused before any basis is built
+    p = db.get("NO")
+    with pytest.raises(ValueError, match=f"asks for {33 * MAX_BASIS} oracle basis "
+                                         f"functions; the limit is {MAX_ORACLE_POINTS}"):
+        deviation_report(p, [0], list(range(33)))
+    assert bases == []
+    # perfbench's compare request, 9 J at n_points = 16384, is within the cap
+    report = deviation_report(p, [0, 3, 5], [0, 1, 2, 3, 4, 5, 10, 15, 20],
+                              n_points=16384)
+    assert len(report.rows) == 27 and report.failures == []
 
 
 def test_deviation_report_fails_cells_it_cannot_compare(db, bases):

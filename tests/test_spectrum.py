@@ -17,9 +17,11 @@ from rovib.potentials import (
     to_pform,
 )
 from rovib.database import MAX_B_RE, MAX_MAGNITUDE
-from rovib.rotational import badawi_coefficients, centrifugal_strength, effective_coefficients
+from rovib.rotational import (EffectiveCoefficients, badawi_coefficients,
+                              centrifugal_strength, effective_coefficients)
 from rovib.spectrum import (
     MAX_INDEX,
+    MAX_PAIRS,
     MAX_SCALAR_CELLS,
     EnergyLevel,
     LevelFailure,
@@ -701,6 +703,38 @@ def test_kernels_agree_bit_for_bit_on_the_bundled_molecules(db, monkeypatch):
         errors |= {(name, f.error.split(":")[0].split(" must")[0]) for f in failures}
     assert errors == {(name, kind) for name in db.names for kind in ("J", "nu")} | {
         (name, "no real solution") for name in ("NO", "O2", "O2+")}
+
+
+def test_level_table_bounds_its_request(db, monkeypatch):
+    # 501 x 501 cells, each list far below the cap, are refused before
+    # the per-molecule steps run
+    def not_called(*args):
+        raise AssertionError("a capped request reached the computation")
+
+    monkeypatch.setattr(spectrum, "derive", not_called)
+    nu_list = J_list = list(range(501))
+    with pytest.raises(ValueError, match=f"asks for 251001 levels; the limit is {MAX_PAIRS}"):
+        level_table(db.get("NO"), nu_list, J_list)
+
+
+@pytest.mark.parametrize("kb2, Pt2, Pt3", [
+    # R = 1 + 2^-52, so q s = R - q n = 2.2e-16 at nu = 0: bracket^2 overflows
+    (1.0, 2.5e199, ((1.0 + 2.0**-52) ** 2 - 1.0) / 4.0),
+    # R = 2, q s = 1: bracket = 1.2e154 and bracket^2 are finite, 2 bracket^2 not
+    (2.0, 2.4e154, 1.5),
+], ids=["bracket^2", "kb2 bracket^2"])
+def test_both_kernels_fail_an_E_beyond_float_range(kb2, Pt2, Pt3):
+    import numpy as np
+
+    eff = EffectiveCoefficients(Pt1=0.0, Pt2=Pt2, Pt3=Pt3)
+    grid = (1.0, kb2, [0], [0])  # q, k b^2, nu_list, J_list
+    indices = ([1.0], [None], [None])  # n = 1 + 2 nu, no index errors
+    want = ([], [LevelFailure(0, 0, spectrum._E_BEYOND)])
+    assert spectrum._scalar_table(*grid, [eff], *indices) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        arrays = EffectiveCoefficients(*(np.array([x]) for x in eff))
+        assert spectrum._table(*grid, arrays, *indices) == want
 
 
 def test_grid_size_picks_the_kernel(db, monkeypatch):
