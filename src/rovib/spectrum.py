@@ -23,10 +23,10 @@ level_table takes at most MAX_PAIRS cells and evaluates E in one of
 two kernels, chosen by grid size: in plain floats cell by cell up to
 MAX_SCALAR_CELLS cells, so that small requests never import numpy, and
 in one numpy pass above.  Both call one expression of the closed form,
-_closed_form, and agree to the last bit.  The numpy kernel builds its
-rows with the cyclic garbage collector paused: EnergyLevel rows, a
-tuple subclass, stay tracked, and a manifold of ~14,000 of them would
-otherwise start about 19 collections.
+_radical per J and _level per cell, and agree to the last bit.  The
+numpy kernel builds its rows with the cyclic garbage collector paused:
+EnergyLevel rows, a tuple subclass, stay tracked, and a manifold of
+~14,000 of them would otherwise start about 19 collections.
 """
 
 from __future__ import annotations
@@ -37,8 +37,14 @@ from contextlib import contextmanager
 from itertools import compress, repeat
 from typing import NamedTuple
 
-from .potentials import (PForm, SingularRadiusError, SpectroscopicParams, derive,
-                         from_params, to_pform)
+from .potentials import (
+    PForm,
+    SingularRadiusError,
+    SpectroscopicParams,
+    derive,
+    from_params,
+    to_pform,
+)
 from .rotational import (MAX_INDEX, EffectiveCoefficients, badawi_coefficients,
                          effective_coefficients)
 from .units import kinetic_factor
@@ -47,9 +53,10 @@ MAX_PAIRS = 250_000  # (nu, J) cells in one level_table call
 # Largest nu x J grid that level_table evaluates in plain floats
 # (_scalar_table) rather than with numpy (_table), so that a request up to
 # here never imports numpy, which costs a fresh interpreter about 0.17 s.
-# With numpy loaded (2-vCPU x86 host), 16 cells took 35 us against 70 us,
-# 64 cells 96 against 88 us and 256 cells 320 against 140 us: past ~60
-# cells plain floats are slower, by at most 0.2 ms.
+# With numpy loaded (2-vCPU x86 host), 16 cells took 30 us against 70 us,
+# 64 cells 71 against 85 us, 144 cells 129 against 107 us and 256 cells
+# 203 against 135 us: past ~100 cells plain floats are slower, by at most
+# 0.07 ms.
 MAX_SCALAR_CELLS = 256
 
 
@@ -119,54 +126,59 @@ def _collector_paused():
 
 
 class _PlainFloats:
-    """The numpy functions _closed_form calls, on plain floats: pow is
-    inf where float ** raises OverflowError, as IEEE pow is, and a
-    division by q s = 0, a cell that fails, is nan."""
+    """The numpy functions the closed form calls, on plain floats."""
 
-    maximum, sqrt, isfinite = max, math.sqrt, math.isfinite
-    divide = staticmethod(lambda a, b: a / b if b else math.nan)
-
-    @staticmethod
-    def float_power(x: float, p: float) -> float:
-        try:
-            return x**p
-        except OverflowError:
-            return math.inf
+    maximum, sqrt, float_power = max, math.sqrt, pow
 
 
-def _closed_form(xp, q: float, kb2: float, n, eff: EffectiveCoefficients):
-    """R^2, q s, E, the bound flag and whether the cell has a level (R^2
-    >= 0, q s != 0, E finite) at n = 1 + 2 nu and eff, in floats (xp =
-    _PlainFloats) or in broadcasting numpy arrays (xp = numpy).
-
-    bracket^2 is libm pow in both (float ** 2, np.float_power): an
-    array's ** 2 multiplies, which rounds a few cells per 10^4
-    differently.  Past the zero of q s (eta < 0) bracket turns negative
-    again, at large negative E; only cells with q s > 0 are bound.
-    """
+def _radical(xp, q: float, kb2: float, eff: EffectiveCoefficients):
+    """R^2, R and 4 Pt2 / (k b^2): the closed form's per-J terms, in
+    floats (xp = _PlainFloats) or in numpy arrays over J (xp = numpy)."""
     R2 = q**2 + 4.0 * eff.Pt3 / kb2
-    R = xp.sqrt(xp.maximum(R2, 0.0))
+    return R2, xp.sqrt(xp.maximum(R2, 0.0)), 4.0 * eff.Pt2 / kb2
+
+
+def _level(xp, q: float, kb2: float, n, R, p2, Pt1):
+    """q s, E and the bound flag at n = 1 + 2 nu from _radical's terms:
+    in floats, or on the nu x J grid when n is a numpy column.
+
+    Arrays are updated in place, so a grid takes three float arrays.
+    bracket^2 is libm pow in both (pow, np.float_power): an array's ** 2
+    multiplies, which rounds a few cells per 10^4 differently.  Where
+    plain floats raise (q s = 0, bracket^2 beyond float range) E is nan.
+    Past the zero of q s (eta < 0) bracket turns negative again, at large
+    negative E; only cells with q s > 0 are bound.
+    """
     qs = R - q * n
-    bracket = xp.divide(4.0 * eff.Pt2 / kb2 + 2.0 * n * R - q * (1.0 + n * n), 4.0 * qs)
-    E = eff.Pt1 - kb2 * xp.float_power(bracket, 2.0)
-    ok = (R2 >= 0.0) & (qs != 0.0) & xp.isfinite(E)
-    return R2, qs, E, (bracket < 0.0) & (qs > 0.0), ok
+    bracket = 2.0 * n * R
+    bracket += p2
+    bracket -= q * (1.0 + n * n)
+    try:
+        bracket /= 4.0 * qs
+        E = xp.float_power(bracket, 2.0)
+    except ArithmeticError:
+        return qs, math.nan, False
+    E *= -kb2  # Pt1 - k b^2 bracket^2 exactly: IEEE x - y is x + (-y)
+    E += Pt1
+    return qs, E, (bracket < 0.0) & (qs > 0.0)
 
 
 def _table(q, kb2, nu_list, J_list, eff, ns, nu_errors, J_errors):
     """Rows and LevelFailures on the nu x J grid, row-major: the array kernel.
 
     eff holds Pt1..Pt3 as len(J) arrays and ns, n = 1 + 2 nu per nu,
-    becomes a column, so R^2 is per J, q s and E per cell.  A cell fails
-    with the first of its J error, its nu error, a negative R^2, q s = 0
-    and an E that is not finite (_E_BEYOND).  The rows are built with
-    the garbage collector paused (_collector_paused).
+    becomes a column.  A cell fails with the first of its J error, its
+    nu error, a negative R^2, q s = 0 and an E that is not finite
+    (_E_BEYOND); q s = 0 never gives a finite E.  The rows are built
+    with the garbage collector paused (_collector_paused).
     """
     import numpy as np
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        R2, qs, E, bound, ok = _closed_form(np, q, kb2, np.array(ns)[:, None], eff)
-    ok &= np.array([e is None for e in J_errors])
+        R2, R, p2 = _radical(np, q, kb2, eff)
+        qs, E, bound = _level(np, q, kb2, np.array(ns)[:, None], R, p2, eff.Pt1)
+    ok = np.isfinite(E)
+    ok &= (R2 >= 0.0) & np.array([e is None for e in J_errors])
     ok[[e is not None for e in nu_errors]] = False
     with _collector_paused():
         # one C-level pass over the flat grid: tuple.__new__ is
@@ -185,16 +197,18 @@ def _table(q, kb2, nu_list, J_list, eff, ns, nu_errors, J_errors):
 
 def _scalar_table(q, kb2, nu_list, J_list, effs, ns, nu_errors, J_errors):
     """_table cell by cell in plain floats, one EffectiveCoefficients per
-    J: the same _closed_form and the same failures, bit for bit."""
+    J: the same _radical and _level and the same failures, bit for bit."""
+    per_J = [(J, J_error, eff.Pt1, *_radical(_PlainFloats, q, kb2, eff))
+             for J, J_error, eff in zip(J_list, J_errors, effs)]
     cells, failures = [], []
     for nu, n, nu_error in zip(nu_list, ns, nu_errors):
-        for J, J_error, eff in zip(J_list, J_errors, effs):
-            R2, qs, E, bound, ok = _closed_form(_PlainFloats, q, kb2, n, eff)
-            if ok and not (J_error or nu_error):
-                cells.append((nu, J, E, bound))
-            else:
+        for J, J_error, Pt1, R2, R, p2 in per_J:
+            qs, E, bound = _level(_PlainFloats, q, kb2, n, R, p2, Pt1)
+            if J_error or nu_error or R2 < 0.0 or not math.isfinite(E):
                 failures.append(LevelFailure(nu, J, J_error or nu_error
                                              or _failure_text(nu, J, R2, qs)))
+            else:
+                cells.append((nu, J, E, bound))
     return list(map(tuple.__new__, repeat(EnergyLevel), cells)), failures
 
 

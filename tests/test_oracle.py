@@ -18,8 +18,7 @@ from rovib.oracle import (
     dvr_eigenvalues,
 )
 from rovib.potentials import (MAX_ORACLE_POINTS, SpectroscopicParams, TietzHua, derive,
-                              evaluate,
-                              from_params, pole_radius)
+                              evaluate, from_params, pole_radius)
 from rovib.rotational import badawi_coefficients
 from rovib.spectrum import level_table
 from rovib.units import kinetic_factor

@@ -717,19 +717,21 @@ def test_level_table_bounds_its_request(db, monkeypatch):
         level_table(db.get("NO"), nu_list, J_list)
 
 
-@pytest.mark.parametrize("kb2, Pt2, Pt3", [
+@pytest.mark.parametrize("kb2, Pt2, Pt3, error", [
     # R = 1 + 2^-52, so q s = R - q n = 2.2e-16 at nu = 0: bracket^2 overflows
-    (1.0, 2.5e199, ((1.0 + 2.0**-52) ** 2 - 1.0) / 4.0),
+    (1.0, 2.5e199, ((1.0 + 2.0**-52) ** 2 - 1.0) / 4.0, spectrum._E_BEYOND),
     # R = 2, q s = 1: bracket = 1.2e154 and bracket^2 are finite, 2 bracket^2 not
-    (2.0, 2.4e154, 1.5),
-], ids=["bracket^2", "kb2 bracket^2"])
-def test_both_kernels_fail_an_E_beyond_float_range(kb2, Pt2, Pt3):
+    (2.0, 2.4e154, 1.5, spectrum._E_BEYOND),
+    # R = 1, so q s = 0: a division by zero in both kernels
+    (1.0, 1.0, 0.0, "degenerate quantum-number shift q s = 0 at nu=0, J=0"),
+], ids=["bracket^2", "kb2 bracket^2", "q s = 0"])
+def test_both_kernels_fail_a_cell_without_a_finite_E(kb2, Pt2, Pt3, error):
     import numpy as np
 
     eff = EffectiveCoefficients(Pt1=0.0, Pt2=Pt2, Pt3=Pt3)
     grid = (1.0, kb2, [0], [0])  # q, k b^2, nu_list, J_list
     indices = ([1.0], [None], [None])  # n = 1 + 2 nu, no index errors
-    want = ([], [LevelFailure(0, 0, spectrum._E_BEYOND)])
+    want = ([], [LevelFailure(0, 0, error)])
     assert spectrum._scalar_table(*grid, [eff], *indices) == want
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
