@@ -288,9 +288,12 @@ def levels(molecule, nu_spec, j_spec, unit, fmt, db) -> None:
 def compare(molecule, nu_spec, j_spec, grid_points, fmt, db) -> None:
     """Closed form against a sinc-DVR eigensolver.
 
-    Each J is one dense Hamiltonian, refined until N and 2N basis
-    functions agree to 1e-6 cm^-1 (json rows carry |E_N - E_2N| and 2N);
-    levels past the bound range or unconverged within --grid-points exit 3.
+    J values whose levels fit one box share a dense sinc-DVR basis: the
+    lowest is refined until N and 2N basis functions agree to 1e-6 cm^-1,
+    the others are solved in its lowest 2M eigenvectors until M and 2M
+    agree; a J that shares none is refined alone (json rows carry the
+    error estimate and the basis size).  Levels past the bound range or
+    unconverged within --grid-points exit 3.
 
     Examples:
 

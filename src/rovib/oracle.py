@@ -4,13 +4,18 @@ oracle.py
 An independent numerical check of the closed-form spectrum: the
 Colbert-Miller sinc discrete variable representation (DVR; J. Chem.
 Phys. 96, 1982 (1992)) of -k R'' + (U(r) + J(J+1) k / r^2) R = E R with
-the exact 1/r^2, one dense eigenproblem per J refined N -> 2N until its
-levels agree to DVR_TOL_CM1.  The J values of a request refine together,
-the problems of one basis size solved as one stacked eigensolve
-(dvr_eigenvalues).  Its disagreement with the closed form measures the
-rational approximation of the centrifugal term.  deviation_report runs
-it over a closed-form (nu, J) table, converge for one level of a
-TietzHua; both take each J's well, and the levels it holds, from _wells.
+the exact 1/r^2, a dense eigenproblem refined N -> 2N until its levels
+agree to DVR_TOL_CM1.  deviation_report groups the J values of a request
+(_groups): the lowest J of a group, its reference, refines on a box that
+holds every level of the group, and the others are solved in the
+reference's lowest eigenvectors, where their Hamiltonians differ only by
+(J(J+1) - J_ref(J_ref+1)) k / r^2 (_contracted; Echave & Clary, Chem.
+Phys. Lett. 190, 225 (1992)).  A J alone in its group, or one whose
+contraction does not converge, refines on its own box.  Its disagreement
+with the closed form measures the rational approximation of the
+centrifugal term.  deviation_report runs it over a closed-form (nu, J)
+table, converge for one level of a TietzHua; both take each J's well,
+and the levels it holds, from _wells.
 No other module imports this one at load time: the package
 resolves converge and deviation_report on first access and the CLI
 imports it inside compare, so the closed form never pays for compiling
@@ -36,7 +41,10 @@ _R_MIN, _R_MAX = 0.3, 8.0  # the range every box lies in, in units of re
 _TAIL = 18.0  # decay integral past each turning point: amplitude e^-18
 _SAFETY = 2.0  # spacing pi / (_SAFETY p_max), p_max the largest wave number
 _SCAN = 2048  # potential samples over the range that place the box
-_STACK = 2**18  # matrix elements per stacked eigensolve, unless one matrix has more
+# a group's reference basis is at most this large: numpy's eigh, which the
+# contraction needs, peaks at 42 MB for 512 functions and 74 MB for 1024,
+# where eigvalsh peaks at 34 and 46 MB
+_CONTRACT_MAX = 512
 _ABOVE_BASIS = ("nu at or above the sinc DVR basis size within {} basis "
                 "functions; no oracle level")
 _BELOW_WELL = "below the effective potential's minimum; no oracle level"
@@ -57,16 +65,15 @@ def _potential(model: TietzHua, r: np.ndarray) -> np.ndarray:
         raise ResolutionError(f"{exc}; no oracle level") from None
 
 
-def _effective(model: TietzHua, r: np.ndarray, c) -> np.ndarray:
-    """V(r) + c / r^2 for c = J(J+1) k: at one J, or with c a column of
-    them at one J per row of r."""
+def _effective(model: TietzHua, r: np.ndarray, c: float) -> np.ndarray:
+    """V(r) + c / r^2 for c = J(J+1) k."""
     return _potential(model, r) + c / r**2
 
 
-def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
-    """Ascending eigenvalues of -k d^2/dr^2 + v in the sinc DVR on the
-    uniform points r, one basis function per point: r and v of shape (n,),
-    or (m, n) for m problems solved as one stack."""
+def _hamiltonian(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
+    """The sinc-DVR matrix of -k d^2/dr^2 + v on the uniform points r, one
+    basis function per point: r and v of shape (n,), or (m, n) for a
+    stack of m matrices."""
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
@@ -80,7 +87,16 @@ def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     h = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
     h = h * t[..., None, None]
     h[..., m, m] = math.pi**2 / 3.0 * t[..., None] + v
-    return np.linalg.eigvalsh(h)
+    return h
+
+
+def dvr_eigenvalues(r: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
+    """Ascending eigenvalues of -k d^2/dr^2 + v in the sinc DVR on the
+    uniform points r, one basis function per point: r and v of shape (n,),
+    or (m, n) for m problems solved as one stack."""
+    import numpy as np
+
+    return np.linalg.eigvalsh(_hamiltonian(r, v, k))
 
 
 class _Wells(NamedTuple):
@@ -118,9 +134,15 @@ class _Wells(NamedTuple):
         import numpy as np
 
         r, v, well, k = self.r, self.v[row], self.well[row], self.k
-        decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * self.dr  # zero inside the well
-        inner = np.searchsorted(np.cumsum(decay[well::-1]), _TAIL)
-        outer = np.searchsorted(np.cumsum(decay[well:]), _TAIL)
+        reach = 256  # the integrals run over v[a:b], widened until both reach _TAIL
+        while True:
+            a, b = max(well - reach, 0), min(well + reach, r.size)
+            decay = np.sqrt(np.maximum(v[a:b] - E_top, 0.0) / k) * self.dr  # 0 in the well
+            inner = np.searchsorted(np.cumsum(decay[well - a::-1]), _TAIL)
+            outer = np.searchsorted(np.cumsum(decay[well - a:]), _TAIL)
+            if (a == 0 or inner <= well - a) and (b == r.size or outer < b - well):
+                break
+            reach *= 4
         r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
         p_max = math.sqrt((E_top - self.lo[row]) / k)
         return r_min, r_max, math.ceil(_SAFETY * p_max * (r_max - r_min) / math.pi) + 1
@@ -159,59 +181,146 @@ def _wells(model: TietzHua, J_list: list[int], k: float) -> _Wells:
                   phase.tolist(), inside, k, dr)
 
 
-def _dvr_levels(
-    model: TietzHua, wells: _Wells, jobs: dict[int, tuple[list[int], float, int]],
-    n_max: int,
-) -> dict[int, dict[int, tuple[float, float, int] | str]]:
-    """{J: {nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none}}
-    for jobs {J: (nus, E_top, row)}, row J's row of wells.
+def _first_N(wells: _Wells, row: int, E_top: float, n_max: int) -> int:
+    """The first N of a refinement boxed by wells.box at E_top."""
+    return min(max(wells.box(row, E_top)[2], 2), n_max // 2)
 
-    Per J, box and first N: wells.box at E_top (the highest level's).  N
+
+def _dvr_levels(
+    model: TietzHua, wells: _Wells, row: int, c: float, nus: list[int], E_top: float,
+    n_max: int,
+) -> tuple[dict[int, tuple[float, float, int] | str], np.ndarray, np.ndarray]:
+    """({nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none}, x, v)
+    for the levels nus of V + c / r^2, c = J(J+1) k and row J's row of
+    wells; x and v are the points and potential of the last basis built.
+
+    Box and first N: wells.box at E_top (the highest level's).  N
     doubles while some level moves by more than DVR_TOL_CM1 and 4N fits
     in n_max; then, if n_max // 2 exceeds N, the last pair that fits,
     (n_max // 2, 2 (n_max // 2)), serves the levels still unconverged,
     and a level converged at an earlier pair keeps that pair.  E_top lies
     above the scan's minimum of the effective potential; a level at or
-    above the last N has no N -> 2N pair.  The J values refine
-    together: each step solves those due at the smallest basis size as
-    one stack of at most max(size^2, _STACK) matrix elements."""
+    above the last N has no N -> 2N pair."""
     import numpy as np
 
-    k = wells.k
-    c = {J: J * (J + 1) * k for J in jobs}
-    out, box, N, size, fine = {}, {}, {}, {}, {}
-    for J, (_, E_top, row) in jobs.items():
-        *box[J], n = wells.box(row, E_top)
-        N[J] = size[J] = min(max(n, 2), n_max // 2)
-    while size:  # size[J]: the basis J solves next, N[J] or 2 N[J]
-        n = min(size.values())
-        stack = [J for J in size if size[J] == n][:max(_STACK // n**2, 1)]
-        x = np.linspace(*np.array([box[J] for J in stack]).T, n).T  # a row per J
-        v = _effective(model, x, np.array([c[J] for J in stack])[:, None])
-        for J, E in zip(stack, dvr_eigenvalues(x, v, k)):
-            nus = jobs[J][0]
-            E = np.append(E, np.full(max(nus) + 1, np.nan))[nus]  # nan at or above n
-            if n == N[J]:
-                fine[J], size[J] = E, 2 * n
+    r_min, r_max, n = wells.box(row, E_top)
+    N = n = min(max(n, 2), n_max // 2)
+    out, coarse = {}, None
+    while True:  # n: the basis solved next, N or 2N
+        x = np.linspace(r_min, r_max, n)
+        v = _effective(model, x, c)
+        E = dvr_eigenvalues(x, v, wells.k)
+        E = np.append(E, np.full(max(nus) + 1, np.nan))[nus]  # nan at or above n
+        if n == N:
+            coarse, n = E, 2 * n
+            continue
+        errors, coarse = np.abs(E - coarse), E
+        converged = np.all(errors <= DVR_TOL_CM1)
+        if not (converged or 4 * N > n_max):
+            N, n = n, 2 * n
+            continue
+        out = {  # out is set if this is the last pair
+            nu: out[nu] if isinstance(out.get(nu), tuple) else
+            _ABOVE_BASIS.format(n_max) if nu >= N else
+            (E_nu, err, n) if err <= DVR_TOL_CM1 else
+            f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n} "
+            f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
+            for nu, E_nu, err in zip(nus, E.tolist(), errors.tolist())
+        }
+        if converged or N >= n_max // 2:
+            return out, x, v
+        N = n = n_max // 2
+
+
+def _groups(wells: _Wells, jobs: dict[int, tuple[list[int], float, int]],
+            n_max: int) -> list[tuple[list[int], float]]:
+    """The J values of jobs {J: (nus, E_top, row)}, ascending, in groups
+    (Js, E_top) that share one basis: Js[0], the reference, refines on
+    its box at E_top, the highest level of the group.  A J joins the open
+    group while its E_top lies below the reference's well top and the
+    reference's first N at the group's new E_top is at most 5/4 of the
+    first N of J's own box, and at most _CONTRACT_MAX / 2."""
+    groups: list[tuple[list[int], float]] = []
+    for J in sorted(jobs):
+        _, E_top, row = jobs[J]
+        if groups:
+            Js, E_group = groups[-1]
+            ref, E = jobs[Js[0]][2], max(E_group, E_top)
+            if (E_top < wells.top[ref]
+                    and 2 * (N := _first_N(wells, ref, E, n_max)) <= _CONTRACT_MAX
+                    and 4 * N <= 5 * _first_N(wells, row, E_top, n_max)):
+                groups[-1] = (Js + [J], E)
                 continue
-            errors, fine[J] = np.abs(E - fine[J]), E
-            converged = np.all(errors <= DVR_TOL_CM1)
-            if not (converged or 4 * N[J] > n_max):
-                N[J], size[J] = n, 2 * n
-                continue
-            kept = out.get(J, {})  # set if this is the last pair
-            out[J] = {
-                nu: kept[nu] if isinstance(kept.get(nu), tuple) else
-                _ABOVE_BASIS.format(n_max) if nu >= N[J] else
-                (E_nu, err, n) if err <= DVR_TOL_CM1 else
-                f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n} "
-                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
-                for nu, E_nu, err in zip(nus, E.tolist(), errors.tolist())
-            }
-            if converged or N[J] >= n_max // 2:
-                del size[J]
-            else:
-                N[J] = size[J] = n_max // 2
+        groups.append(([J], E_top))
+    return groups
+
+
+def _contracted(
+    x: np.ndarray, v: np.ndarray, k: float, ref: int, members: dict[int, list[int]],
+    levels: dict[int, tuple[float, float, int]],
+) -> dict[int, dict[int, tuple[float, float, int]]]:
+    """{J: {nu: (E_2M, |E_M - E_2M| + the reference's |E_N - E_2N|, 2N)}}
+    for each J of members {J: nus} that converges in the reference's basis.
+
+    x and v are the reference's converged 2N basis and its effective
+    potential, levels its refined levels.  Its lowest 2M eigenvectors Phi
+    make the 2M x 2M problem diag(E_ref) + (J(J+1) - J_ref(J_ref+1)) k
+    Phi^T diag(1/r^2) Phi, and its leading M x M block the M problem; M
+    starts at 2 (max nu + 1) and doubles, the last step at 2M = 2N, while
+    some level of J moves by more than DVR_TOL_CM1.  A J still moving
+    then is left out."""
+    import numpy as np
+
+    n = x.size // 2  # N
+    M = 2 * (max(max(nus) for nus in members.values()) + 1)
+    if M > n:
+        return {}
+    E, U = np.linalg.eigh(_hamiltonian(x, v, k))
+    out, pending = {}, list(members)
+    while pending and M <= n:
+        phi = U[:, :2 * M]
+        w = phi.T @ (phi / x[:, None] ** 2)  # <i| 1/r^2 |j>
+        h = np.array([(J * (J + 1) - ref * (ref + 1)) * k for J in pending])[:, None, None] * w
+        h[:, range(2 * M), range(2 * M)] += E[:2 * M]
+        fine, coarse = np.linalg.eigvalsh(h), np.linalg.eigvalsh(h[:, :M, :M])
+        for J, E_2M, E_M in zip(pending, fine, coarse):
+            nus = members[J]
+            errors = np.abs(E_M[nus] - E_2M[nus])
+            if np.all(errors <= DVR_TOL_CM1):
+                out[J] = {nu: (E_nu, err + levels[nu][1], x.size) for nu, E_nu, err
+                          in zip(nus, E_2M[nus].tolist(), errors.tolist())}
+        pending = [J for J in pending if J not in out]
+        M = n if M < n < 2 * M else 2 * M
+    return out
+
+
+def _group_levels(
+    model: TietzHua, wells: _Wells, jobs: dict[int, tuple[list[int], float, int]],
+    Js: list[int], E_top: float, n_max: int,
+) -> dict[int, dict[int, tuple[float, float, int] | str]]:
+    """{J: {nu: level or reason}} for the group (Js, E_top) of _groups.
+
+    The reference Js[0] refines every nu of the group on its box at
+    E_top; a J whose levels all converged there is contracted in that
+    basis if it is at most _CONTRACT_MAX.  A J whose levels did not
+    converge, or whose contraction did not, refines alone on its own box,
+    as does the reference if one of its own levels failed on the group's.
+    A group of one J is its refinement alone."""
+    k, ref = wells.k, Js[0]
+    nus = sorted({nu for J in Js for nu in jobs[J][0]})
+    levels, x, v = _dvr_levels(model, wells, jobs[ref][2], ref * (ref + 1) * k, nus,
+                               E_top, n_max)
+    out = {ref: {nu: levels[nu] for nu in jobs[ref][0]}}
+    if len(Js) > 1 and not all(isinstance(level, tuple) for level in out[ref].values()):
+        del out[ref]
+    ready = {J: jobs[J][0] for J in Js[1:]
+             if all(isinstance(levels[nu], tuple) for nu in jobs[J][0])}
+    if ready and x.size <= _CONTRACT_MAX:
+        out |= _contracted(x, v, k, ref, ready, levels)
+    for J in Js:
+        if J not in out:
+            nus, E_J, row = jobs[J]
+            out[J] = _dvr_levels(model, wells, row, J * (J + 1) * k, nus, E_J, n_max)[0]
     return out
 
 
@@ -281,7 +390,7 @@ def converge(
     r_min, r_max, n = wells.box(0, E)
     x = np.linspace(r_min, r_max, min(max(n, nu + 1), n_max))
     E_nu = dvr_eigenvalues(x, _effective(model, x, J * (J + 1) * k), k)[nu]
-    level = _dvr_levels(model, wells, {J: ([nu], E_nu, 0)}, n_max)[J][nu]
+    level = _dvr_levels(model, wells, 0, J * (J + 1) * k, [nu], E_nu, n_max)[0][nu]
     if isinstance(level, str):
         raise ResolutionError(level)
     return ConvergeResult(nu, J, *level)
@@ -293,8 +402,10 @@ class DeviationRow(NamedTuple):
     E_closed: float
     E_oracle: float
     delta: float  # E_closed - E_oracle
-    oracle_err: float  # |E_N - E_2N| of the sinc-DVR refinement, cm^-1
-    basis: int  # 2N, the DVR basis behind E_oracle
+    # |E_N - E_2N| of the sinc-DVR refinement, cm^-1; in a shared basis
+    # |E_M - E_2M| plus the reference's |E_N - E_2N|
+    oracle_err: float
+    basis: int  # 2N, the DVR basis behind E_oracle (the reference's, if shared)
 
 
 class DeviationReport(NamedTuple):
@@ -319,7 +430,10 @@ def deviation_report(
     fails it, or whose closed-form level lies at or above the well's top
     is a LevelFailure, as is a cell beyond the bound range, one
     _dvr_levels gives a reason for, or one whose potential samples hit
-    the pole.  The rest box at the highest closed-form level of their J."""
+    the pole.  The rest are solved by J groups (_groups): a group's lowest
+    J refines on a box at the group's highest closed-form level, the
+    others in its basis (_contracted); a J that shares no basis boxes at
+    the highest closed-form level of its own."""
     if not nu_list or not J_list:
         raise ValueError("need non-empty nu_list and J_list")
     n_max = _budget(n_points)
@@ -349,8 +463,9 @@ def deviation_report(
                     inside.append(c)
             if inside:
                 jobs[J] = ([c.nu for c in inside], max(c.E for c in inside), row)
-        for J, levels in _dvr_levels(model, wells, jobs, n_max).items():
-            oracle[J] |= levels
+        for Js, E_top in _groups(wells, jobs, n_max):
+            for J, levels in _group_levels(model, wells, jobs, Js, E_top, n_max).items():
+                oracle[J] |= levels
     except ResolutionError as exc:  # a sample on the pole
         oracle = {J: dict.fromkeys((c.nu for c in cells), str(exc))
                   for J, cells in cells_by_J.items()}

@@ -470,9 +470,9 @@ def test_no_command_loads_scipy():
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
-        "NO,0,0,947.756848,947.756848,0.000000\n"
+        "NO,0,0,947.756848,947.756848,-0.000000\n"
         "NO,0,5,998.204857,998.204415,0.000442\n"
-        "NO,3,0,6453.240002,6453.240002,-0.000000\n"
+        "NO,3,0,6453.240002,6453.240002,0.000000\n"
         "NO,3,5,6501.894569,6501.876152,0.018418\n"
     )
 
@@ -515,15 +515,33 @@ def test_python_dash_m_runs_the_console_script(module):
     assert proc.stdout.splitlines()[1] == "NO,0,0,947.756848"
 
 
+# a launch that says, on stderr, when the oracle starts its first solve
+FIRST_SOLVE = """\
+import sys
+import rovib.oracle as oracle
+solve = oracle.dvr_eigenvalues
+def first(*args):
+    oracle.dvr_eigenvalues = solve
+    print("solving", file=sys.stderr, flush=True)
+    return solve(*args)
+oracle.dvr_eigenvalues = first
+"""
+
+
 @pytest.mark.parametrize("ending", ["closed pipe", "interrupt"])
 def test_an_ended_call_leaves_no_traceback(ending):
     # as under click: a reader that leaves early (rovib ... | head) ends
-    # the call quietly with exit 0, Ctrl-C with "Aborted!" and exit 1
+    # the call quietly with exit 0, Ctrl-C with "Aborted!" and exit 1.
+    # The interrupt comes once the oracle has begun to solve, seconds
+    # before it ends: these levels lie near the well's top, where no two
+    # J values share a basis
     src = str(Path(rovib.__file__).resolve().parents[1])
     args = (["levels", "N2", "--nu", "0..66", "--J", "0..200"] if ending == "closed pipe"
             else ["compare", "O2", "--nu", "40..54", "--J", "0..31"])  # about 8 s
     launch = ("import sys; from rovib.cli import main; "
               "print('in main', file=sys.stderr, flush=True); main()")
+    if ending == "interrupt":
+        launch = FIRST_SOLVE + launch
     proc = subprocess.Popen(
         [sys.executable, "-c", launch, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -533,7 +551,7 @@ def test_an_ended_call_leaves_no_traceback(ending):
         proc.stdout.readline()
         proc.stdout.close()
     else:
-        time.sleep(0.5)  # inside the oracle's solves, which take seconds
+        assert proc.stderr.readline() == "solving\n"
         proc.send_signal(signal.SIGINT)
     stderr = proc.stderr.read()
     if ending == "closed pipe":

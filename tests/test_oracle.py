@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rovib import oracle
@@ -12,6 +12,7 @@ from rovib.oracle import (
     DVR_TOL_CM1,
     MAX_BASIS,
     ConvergeResult,
+    DeviationRow,
     ResolutionError,
     converge,
     deviation_report,
@@ -44,17 +45,33 @@ def bases(monkeypatch):
 
 
 @pytest.fixture
-def stacks(monkeypatch):
-    """The shape of r, (matrices, basis), in every eigensolve call the
-    oracle makes, in order."""
-    shapes = []
+def groups(monkeypatch):
+    """The J values of every group deviation_report solves in one basis,
+    in order."""
+    found = []
+    grouped = oracle._groups
 
-    def counted(r, v, k):
-        shapes.append(r.shape)
-        return dvr_eigenvalues(r, v, k)
+    def counted(*args):
+        out = grouped(*args)
+        found.extend(Js for Js, _ in out)
+        return out
 
-    monkeypatch.setattr(oracle, "dvr_eigenvalues", counted)
-    return shapes
+    monkeypatch.setattr(oracle, "_groups", counted)
+    return found
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    """The matrix shape of every numpy eigensolve, as ("eigvalsh" or
+    "eigh", shape), in order."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def morse_exact(nu):
@@ -310,46 +327,125 @@ def test_deviation_report_keeps_unsorted_and_repeated_indices_in_order(db):
     assert list(report.max_abs_delta_by_J) == [5, 0]
 
 
+# deviation_report(p, [0, 3, 5], [0], n_points=16384), the grid behind
+# perfbench's max_oracle_err_cm1, and converge(p, J=20, nu=5), as rovib
+# gave them before J values shared a basis: a J solved alone keeps its
+# arithmetic bit for bit
+PINNED_SINGLE_J = {
+    "NO": ([(0, 0, 947.7568475654916, 947.7568475654828, 8.86757334228605e-12,
+             2.114575181622058e-11, 70),
+            (3, 0, 6453.240001673716, 6453.240001673698, 1.7280399333685637e-11,
+             2.180058800149709e-09, 70),
+            (5, 0, 9951.693763972617, 9951.693763972638, -2.1827872842550278e-11,
+             2.3354550648946315e-07, 70)],
+           (5, 20, 10614.589785694576, 2.8496106097009033e-07, 70)),
+    "O2": ([(0, 0, 775.0895816463817, 775.0895816464076, -2.5920599000528455e-11,
+             1.5006662579253316e-11, 70),
+            (3, 0, 5269.673272166976, 5269.673272166986, -1.000444171950221e-11,
+             2.72393663180992e-09, 70),
+            (5, 0, 8118.516884680379, 8118.516884680392, -1.2732925824820995e-11,
+             2.7468649932416156e-07, 70)],
+           (5, 20, 8663.441893500474, 3.42823113896884e-07, 70)),
+    "O2+": ([(0, 0, 934.6139026355086, 934.6139026355037, 4.888534022029489e-12,
+              7.389644451905042e-12, 70),
+             (3, 0, 6376.61493774649, 6376.6149377465335, -4.3655745685100555e-11,
+              2.1191226551309228e-10, 70),
+             (5, 0, 9846.089891560761, 9846.089891560785, -2.3646862246096134e-11,
+              7.087146514095366e-08, 70)],
+            (5, 20, 10489.094923888857, 8.389542927034199e-08, 70)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SINGLE_J))
+def test_the_single_J_path_is_pinned(db, name):
+    p = db.get(name)
+    rows, level = PINNED_SINGLE_J[name]
+    report = deviation_report(p, [0, 3, 5], [0], n_points=16384)
+    assert report.failures == []
+    assert [tuple(row) for row in report.rows] == rows
+    assert tuple(converge(from_params(p), J=20, mu=p.mu, nu=5)) == level
+
+
+# two converged solves of one level on different boxes differ by up to
+# 1.6e-9 cm^-1 (N2 nu = 0 at J = 1), where |E_N - E_2N| can read 0.0:
+# the refinement's estimate does not see the eigensolver's rounding
+ROUNDING_CM1 = 2.0e-9
+
+
+def _agree_as_one_J(cell, alone, shared):
+    """A cell of a multi-J report against the same cell of the report at
+    its J alone: equal, or, for a J that shared a basis, a row within
+    1e-8 cm^-1 and within the two rows' oracle_err summed, plus the
+    eigensolver's rounding."""
+    if cell == alone:
+        return
+    assert cell.J in shared and isinstance(cell, DeviationRow), (cell, alone)
+    assert isinstance(alone, DeviationRow), (cell, alone)
+    assert cell[:3] == alone[:3]
+    diff = abs(cell.E_oracle - alone.E_oracle)
+    assert diff <= 1.0e-8, (cell, alone)
+    assert diff <= cell.oracle_err + alone.oracle_err + ROUNDING_CM1, (cell, alone)
+
+
 @pytest.mark.parametrize("n_points", [20, 100, 2048])
 @pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
-def test_deviation_report_equals_its_one_J_reports(db, stacks, name, n_points):
-    # the J values of a report are solved together, in stacks of mixed
-    # boxes (bases 124 to 144 at the full budget); every cell equals, bit
-    # for bit, the same cell of a report at that J alone
+def test_deviation_report_equals_its_one_J_reports(db, groups, name, n_points):
+    # a J that shares no basis keeps, bit for bit, the cell of a report at
+    # that J alone; one that shares it agrees within both oracle_err.  At
+    # the full budget J = 0 and 20 share J = 0's basis (2N = 88 to 110)
     p = db.get(name)
     nus, Js = [12, 0, 4], [150, 0, 20, 0, 60]
     report = deviation_report(p, nus, Js, n_points=n_points)
-    assert all(m * n * n <= max(n * n, oracle._STACK) for m, n in stacks)
+    shared = {J for group in groups if len(group) > 1 for J in group}
     cells = {}
     for J in set(Js):
         alone = deviation_report(p, nus, [J], n_points=n_points)
         cells.update({(c.nu, c.J): c for c in alone.rows + alone.failures})
     assert len(report.rows) + len(report.failures) == len(nus) * len(Js)
     for cell in report.rows + report.failures:
-        assert cell == cells[(cell.nu, cell.J)]
+        _agree_as_one_J(cell, cells[(cell.nu, cell.J)], shared)
     if n_points == 2048:
-        assert report.failures == [] and len({r.basis for r in report.rows}) > 1
+        assert report.failures == [] and shared
 
 
 REF_GRID = ([0, 3, 5], [0, 1, 2, 3, 4, 5, 10, 15, 20])
 
 
-def test_nine_J_values_make_two_eigensolves(db, stacks):
-    # every J of O2's reference grid refines 35 -> 70: one stack of 9
-    # matrices per basis size
+def test_nine_J_values_make_one_refinement_and_one_contraction(db, groups, lapack):
+    # O2's reference grid is one group: J = 0 refines 37 -> 74 on a box
+    # at E(5, 20), one eigh of the 74-function matrix gives its vectors,
+    # and the other 8 J values converge at M = 12 -> 24, each size one
+    # stacked eigvalsh
     report = deviation_report(db.get("O2"), *REF_GRID)
-    assert {row.basis for row in report.rows} == {70}
-    assert stacks == [(9, 35), (9, 70)]
+    assert groups == [REF_GRID[1]]
+    assert {row.basis for row in report.rows} == {74}
+    assert lapack == [("eigvalsh", (37, 37)), ("eigvalsh", (74, 74)),
+                      ("eigh", (74, 74)), ("eigvalsh", (8, 24, 24)),
+                      ("eigvalsh", (8, 12, 12))]
+    assert report.failures == []
+    for row in report.rows:
+        alone = deviation_report(db.get("O2"), [row.nu], [row.J]).rows[0]
+        _agree_as_one_J(row, alone, set(REF_GRID[1]))
 
 
-def test_a_smaller_stack_cap_changes_only_the_call_count(db, stacks, monkeypatch):
-    p = db.get("O2")
-    report = deviation_report(p, *REF_GRID)
-    assert len(stacks) == 2
-    stacks.clear()
-    monkeypatch.setattr(oracle, "_STACK", 3 * 35**2)  # 3 of 35, 1 of 70
-    assert deviation_report(p, *REF_GRID) == report
-    assert stacks == [(3, 35)] * 3 + [(1, 70)] * 9
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=physical_params,
+       nus=st.lists(st.integers(0, 15), min_size=1, max_size=4),
+       Js=st.lists(st.integers(0, 60), min_size=2, max_size=5))
+def test_a_cell_that_converges_alone_converges_in_a_shared_basis(groups, p, nus, Js):
+    # every cell of a one-J report that converges converges in the
+    # multi-J report, within 1e-8 cm^-1 and both oracle_err; a cell that
+    # fails alone fails with the same reason
+    groups.clear()
+    report = deviation_report(p, nus, Js)
+    shared = {J for group in groups if len(group) > 1 for J in group}
+    cells = {}
+    for J in set(Js):
+        alone = deviation_report(p, nus, [J])
+        cells.update({(c.nu, c.J): c for c in alone.rows + alone.failures})
+    for cell in report.rows + report.failures:
+        _agree_as_one_J(cell, cells[(cell.nu, cell.J)], shared)
 
 
 def test_deviation_report_collects_closed_form_failures(db):
@@ -371,6 +467,17 @@ def _well_by_running_maximum(v, k, dr):
     return v[well], top, inside, np.sqrt((top - inside) / k).sum() * dr / math.pi
 
 
+def _box_over_the_whole_scan(wells, row, E_top):
+    """wells.box with the decay integrals taken over the whole scan."""
+    r, v, well, k = wells.r, wells.v[row], wells.well[row], wells.k
+    decay = np.sqrt(np.maximum(v - E_top, 0.0) / k) * wells.dr
+    inner = np.searchsorted(np.cumsum(decay[well::-1]), oracle._TAIL)
+    outer = np.searchsorted(np.cumsum(decay[well:]), oracle._TAIL)
+    r_min, r_max = r[max(well - inner, 0)], r[min(well + outer, r.size - 1)]
+    p_max = math.sqrt((E_top - wells.lo[row]) / k)
+    return r_min, r_max, math.ceil(oracle._SAFETY * p_max * (r_max - r_min) / math.pi) + 1
+
+
 def _check_wells(p, J_list):
     k = kinetic_factor(p.mu)
     wells = oracle._wells(from_params(p), J_list, k)
@@ -380,6 +487,10 @@ def _check_wells(p, J_list):
         assert np.array_equal(wells.inside[row], inside), J
         for found in (wells.phase(row, top), wells.top_phase[row]):  # summed otherwise
             assert found == pytest.approx(phase, rel=1.0e-12, abs=1.0e-12), J
+        # the box's integrals start near the minimum and widen until they
+        # reach their end: the same box, bit for bit
+        for E in np.linspace(lo, top, 7)[1:]:
+            assert wells.box(row, E) == _box_over_the_whole_scan(wells, row, E), (J, E)
 
 
 @pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
