@@ -11,7 +11,9 @@ holds every level of the group, and the others are solved in the
 reference's lowest eigenvectors, where their Hamiltonians differ only by
 (J(J+1) - J_ref(J_ref+1)) k / r^2 (_contracted; Echave & Clary, Chem.
 Phys. Lett. 190, 225 (1992)).  A J alone in its group, or one whose
-contraction does not converge, refines on its own box.  Its disagreement
+contraction does not converge, refines on its own box.  The refinements
+of a request run together, the problems of one basis size solved as one
+stacked eigensolve (dvr_eigenvalues).  Its disagreement
 with the closed form measures the rational approximation of the
 centrifugal term.  deviation_report runs it over a closed-form (nu, J)
 table, converge for one level of a TietzHua; both take each J's well,
@@ -45,6 +47,11 @@ _SCAN = 2048  # potential samples over the range that place the box
 # contraction needs, peaks at 42 MB for 512 functions and 74 MB for 1024,
 # where eigvalsh peaks at 34 and 46 MB
 _CONTRACT_MAX = 512
+# a shared basis costs one eigh of the reference's 2N matrix, about as much
+# as refining two J values (eigvalsh at N and 2N), and a small solve per J:
+# it saves time from four J values on, and smaller groups split
+_MIN_GROUP = 4
+_STACK = 2**18  # matrix elements per stacked eigensolve, unless one matrix has more
 _ABOVE_BASIS = ("nu at or above the sinc DVR basis size within {} basis "
                 "functions; no oracle level")
 _BELOW_WELL = "below the effective potential's minimum; no oracle level"
@@ -65,8 +72,9 @@ def _potential(model: TietzHua, r: np.ndarray) -> np.ndarray:
         raise ResolutionError(f"{exc}; no oracle level") from None
 
 
-def _effective(model: TietzHua, r: np.ndarray, c: float) -> np.ndarray:
-    """V(r) + c / r^2 for c = J(J+1) k."""
+def _effective(model: TietzHua, r: np.ndarray, c) -> np.ndarray:
+    """V(r) + c / r^2 for c = J(J+1) k: at one J, or with c a column of
+    them at one J per row of r."""
     return _potential(model, r) + c / r**2
 
 
@@ -181,78 +189,93 @@ def _wells(model: TietzHua, J_list: list[int], k: float) -> _Wells:
                   phase.tolist(), inside, k, dr)
 
 
-def _first_N(wells: _Wells, row: int, E_top: float, n_max: int) -> int:
-    """The first N of a refinement boxed by wells.box at E_top."""
-    return min(max(wells.box(row, E_top)[2], 2), n_max // 2)
-
-
 def _dvr_levels(
-    model: TietzHua, wells: _Wells, row: int, c: float, nus: list[int], E_top: float,
-    n_max: int,
-) -> tuple[dict[int, tuple[float, float, int] | str], np.ndarray, np.ndarray]:
-    """({nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none}, x, v)
-    for the levels nus of V + c / r^2, c = J(J+1) k and row J's row of
-    wells; x and v are the points and potential of the last basis built.
+    model: TietzHua, k: float,
+    jobs: dict[int, tuple[list[int], tuple[float, float, int]]], n_max: int,
+) -> tuple[dict[int, dict[int, tuple[float, float, int] | str]], dict[int, int]]:
+    """({J: {nu: (E_2N, |E_N - E_2N|, 2N) or the reason there is none}},
+    {J: the last basis size J solved}) for jobs {J: (nus, box)}, box the
+    (r_min, r_max, n) of _Wells.box at the highest level's energy.
 
-    Box and first N: wells.box at E_top (the highest level's).  N
-    doubles while some level moves by more than DVR_TOL_CM1 and 4N fits
-    in n_max; then, if n_max // 2 exceeds N, the last pair that fits,
-    (n_max // 2, 2 (n_max // 2)), serves the levels still unconverged,
-    and a level converged at an earlier pair keeps that pair.  E_top lies
-    above the scan's minimum of the effective potential; a level at or
-    above the last N has no N -> 2N pair."""
+    Per J, first N: the box's n.  N doubles while some level moves by more
+    than DVR_TOL_CM1 and 4N fits in n_max; then, if n_max // 2 exceeds N,
+    the last pair that fits, (n_max // 2, 2 (n_max // 2)), serves the
+    levels still unconverged, and a level converged at an earlier pair
+    keeps that pair.  A level at or above the last N has no N -> 2N pair.
+    The J values refine together: each step solves those due at the
+    smallest basis size as one stack of at most max(size^2, _STACK) matrix
+    elements."""
     import numpy as np
 
-    r_min, r_max, n = wells.box(row, E_top)
-    N = n = min(max(n, 2), n_max // 2)
-    out, coarse = {}, None
-    while True:  # n: the basis solved next, N or 2N
-        x = np.linspace(r_min, r_max, n)
-        v = _effective(model, x, c)
-        E = dvr_eigenvalues(x, v, wells.k)
-        E = np.append(E, np.full(max(nus) + 1, np.nan))[nus]  # nan at or above n
-        if n == N:
-            coarse, n = E, 2 * n
-            continue
-        errors, coarse = np.abs(E - coarse), E
-        converged = np.all(errors <= DVR_TOL_CM1)
-        if not (converged or 4 * N > n_max):
-            N, n = n, 2 * n
-            continue
-        out = {  # out is set if this is the last pair
-            nu: out[nu] if isinstance(out.get(nu), tuple) else
-            _ABOVE_BASIS.format(n_max) if nu >= N else
-            (E_nu, err, n) if err <= DVR_TOL_CM1 else
-            f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n} "
-            f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
-            for nu, E_nu, err in zip(nus, E.tolist(), errors.tolist())
-        }
-        if converged or N >= n_max // 2:
-            return out, x, v
-        N = n = n_max // 2
+    c = {J: J * (J + 1) * k for J in jobs}
+    out, box, N, size, fine, last = {}, {}, {}, {}, {}, {}
+    for J, (_, (*box[J], n)) in jobs.items():
+        N[J] = size[J] = min(max(n, 2), n_max // 2)
+    while size:  # size[J]: the basis J solves next, N[J] or 2 N[J]
+        n = min(size.values())
+        stack = [J for J in size if size[J] == n][:max(_STACK // n**2, 1)]
+        x = np.linspace(*np.array([box[J] for J in stack]).T, n).T  # a row per J
+        v = _effective(model, x, np.array([c[J] for J in stack])[:, None])
+        for J, E in zip(stack, dvr_eigenvalues(x, v, k)):
+            nus = jobs[J][0]
+            E = np.append(E, np.full(max(nus) + 1, np.nan))[nus]  # nan at or above n
+            if n == N[J]:
+                fine[J], size[J] = E, 2 * n
+                continue
+            errors, fine[J] = np.abs(E - fine[J]), E
+            converged = np.all(errors <= DVR_TOL_CM1)
+            if not (converged or 4 * N[J] > n_max):
+                N[J], size[J] = n, 2 * n
+                continue
+            kept = out.get(J, {})  # set if this is the last pair
+            out[J] = {
+                nu: kept[nu] if isinstance(kept.get(nu), tuple) else
+                _ABOVE_BASIS.format(n_max) if nu >= N[J] else
+                (E_nu, err, n) if err <= DVR_TOL_CM1 else
+                f"sinc DVR not converged to {DVR_TOL_CM1} cm^-1 within {n} "
+                f"basis functions (|E_N - E_2N| = {err:.3g} cm^-1)"
+                for nu, E_nu, err in zip(nus, E.tolist(), errors.tolist())
+            }
+            if converged or N[J] >= n_max // 2:
+                del size[J]
+                last[J] = n
+            else:
+                N[J] = size[J] = n_max // 2
+    return out, last
 
 
-def _groups(wells: _Wells, jobs: dict[int, tuple[list[int], float, int]],
-            n_max: int) -> list[tuple[list[int], float]]:
+def _groups(
+    wells: _Wells, jobs: dict[int, tuple[list[int], float, int]], n_max: int,
+) -> list[tuple[list[int], tuple[float, float, int]]]:
     """The J values of jobs {J: (nus, E_top, row)}, ascending, in groups
-    (Js, E_top) that share one basis: Js[0], the reference, refines on
-    its box at E_top, the highest level of the group.  A J joins the open
-    group while its E_top lies below the reference's well top and the
-    reference's first N at the group's new E_top is at most 5/4 of the
-    first N of J's own box, and at most _CONTRACT_MAX / 2."""
-    groups: list[tuple[list[int], float]] = []
+    (Js, box) that share one basis: Js[0], the reference, refines on box,
+    its _Wells.box at the group's highest E_top.  A J joins the open group
+    while its E_top lies below the reference's well top, and the
+    reference's first N on the group's new box is at most 5/4 of the
+    first N of J's own box, and at most _CONTRACT_MAX / 2.  A group of
+    fewer than _MIN_GROUP J values splits into groups of one, each J on
+    its own box."""
+    def first_N(box):
+        return min(max(box[2], 2), n_max // 2)
+
+    groups, own = [], {}
     for J in sorted(jobs):
         _, E_top, row = jobs[J]
+        own[J] = wells.box(row, E_top)
         if groups:
-            Js, E_group = groups[-1]
-            ref, E = jobs[Js[0]][2], max(E_group, E_top)
-            if (E_top < wells.top[ref]
-                    and 2 * (N := _first_N(wells, ref, E, n_max)) <= _CONTRACT_MAX
-                    and 4 * N <= 5 * _first_N(wells, row, E_top, n_max)):
-                groups[-1] = (Js + [J], E)
-                continue
-        groups.append(([J], E_top))
-    return groups
+            Js, E, box = groups[-1]
+            ref = jobs[Js[0]][2]
+            if E_top < wells.top[ref]:
+                grown = box if E_top <= E else wells.box(ref, E_top)
+                N = first_N(grown)
+                if 2 * N <= _CONTRACT_MAX and 4 * N <= 5 * first_N(own[J]):
+                    groups[-1] = (Js + [J], max(E, E_top), grown)
+                    continue
+        groups.append(([J], E_top, own[J]))
+    out = []
+    for Js, _, box in groups:
+        out += [(Js, box)] if len(Js) >= _MIN_GROUP else [([J], own[J]) for J in Js]
+    return out
 
 
 def _contracted(
@@ -294,34 +317,40 @@ def _contracted(
     return out
 
 
-def _group_levels(
+def _levels(
     model: TietzHua, wells: _Wells, jobs: dict[int, tuple[list[int], float, int]],
-    Js: list[int], E_top: float, n_max: int,
+    n_max: int,
 ) -> dict[int, dict[int, tuple[float, float, int] | str]]:
-    """{J: {nu: level or reason}} for the group (Js, E_top) of _groups.
+    """{J: {nu: level or reason}} for jobs {J: (nus, E_top, row)}.
 
-    The reference Js[0] refines every nu of the group on its box at
-    E_top; a J whose levels all converged there is contracted in that
-    basis if it is at most _CONTRACT_MAX.  A J whose levels did not
-    converge, or whose contraction did not, refines alone on its own box,
-    as does the reference if one of its own levels failed on the group's.
-    A group of one J is its refinement alone."""
-    k, ref = wells.k, Js[0]
-    nus = sorted({nu for J in Js for nu in jobs[J][0]})
-    levels, x, v = _dvr_levels(model, wells, jobs[ref][2], ref * (ref + 1) * k, nus,
-                               E_top, n_max)
-    out = {ref: {nu: levels[nu] for nu in jobs[ref][0]}}
-    if len(Js) > 1 and not all(isinstance(level, tuple) for level in out[ref].values()):
-        del out[ref]
-    ready = {J: jobs[J][0] for J in Js[1:]
-             if all(isinstance(levels[nu], tuple) for nu in jobs[J][0])}
-    if ready and x.size <= _CONTRACT_MAX:
-        out |= _contracted(x, v, k, ref, ready, levels)
-    for J in Js:
-        if J not in out:
-            nus, E_J, row = jobs[J]
-            out[J] = _dvr_levels(model, wells, row, J * (J + 1) * k, nus, E_J, n_max)[0]
-    return out
+    Every group's reference (_groups) refines all nu of its group on the
+    group's box, the references of all groups together.  If its basis
+    has at most _CONTRACT_MAX functions, each J of the group whose levels
+    all converged there is contracted in it.  A J whose levels did not
+    converge, or whose contraction did not, then refines on its own box,
+    as does a reference one of whose own levels failed on the group's."""
+    import numpy as np
+
+    k = wells.k
+    groups = _groups(wells, jobs, n_max)
+    levels, last = _dvr_levels(model, k, {
+        Js[0]: (sorted({nu for J in Js for nu in jobs[J][0]}), box) for Js, box in groups
+    }, n_max)
+    out, alone = {}, {}
+    for Js, (r_min, r_max, _) in groups:
+        ref, shared = Js[0], levels[Js[0]]
+        out[ref] = {nu: shared[nu] for nu in jobs[ref][0]}
+        ready = {J: jobs[J][0] for J in Js[1:]
+                 if all(isinstance(shared[nu], tuple) for nu in jobs[J][0])}
+        if ready and last[ref] <= _CONTRACT_MAX:
+            x = np.linspace(r_min, r_max, last[ref])
+            out |= _contracted(x, _effective(model, x, ref * (ref + 1) * k), k, ref,
+                               ready, shared)
+        if len(Js) > 1 and not all(isinstance(level, tuple) for level in out[ref].values()):
+            del out[ref]
+        alone |= {J: (jobs[J][0], wells.box(jobs[J][2], jobs[J][1]))
+                  for J in Js if J not in out}
+    return out | _dvr_levels(model, k, alone, n_max)[0]
 
 
 def _budget(n_points) -> int:
@@ -390,7 +419,7 @@ def converge(
     r_min, r_max, n = wells.box(0, E)
     x = np.linspace(r_min, r_max, min(max(n, nu + 1), n_max))
     E_nu = dvr_eigenvalues(x, _effective(model, x, J * (J + 1) * k), k)[nu]
-    level = _dvr_levels(model, wells, 0, J * (J + 1) * k, [nu], E_nu, n_max)[0][nu]
+    level = _dvr_levels(model, k, {J: ([nu], wells.box(0, E_nu))}, n_max)[0][J][nu]
     if isinstance(level, str):
         raise ResolutionError(level)
     return ConvergeResult(nu, J, *level)
@@ -463,9 +492,8 @@ def deviation_report(
                     inside.append(c)
             if inside:
                 jobs[J] = ([c.nu for c in inside], max(c.E for c in inside), row)
-        for Js, E_top in _groups(wells, jobs, n_max):
-            for J, levels in _group_levels(model, wells, jobs, Js, E_top, n_max).items():
-                oracle[J] |= levels
+        for J, levels in _levels(model, wells, jobs, n_max).items():
+            oracle[J] |= levels
     except ResolutionError as exc:  # a sample on the pole
         oracle = {J: dict.fromkeys((c.nu for c in cells), str(exc))
                   for J, cells in cells_by_J.items()}

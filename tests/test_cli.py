@@ -470,9 +470,9 @@ def test_no_command_loads_scipy():
     ]
     assert proc.stdout == (
         "molecule,nu,J,E_cm1,E_oracle_cm1,delta_cm1\n"
-        "NO,0,0,947.756848,947.756848,-0.000000\n"
+        "NO,0,0,947.756848,947.756848,0.000000\n"
         "NO,0,5,998.204857,998.204415,0.000442\n"
-        "NO,3,0,6453.240002,6453.240002,0.000000\n"
+        "NO,3,0,6453.240002,6453.240002,-0.000000\n"
         "NO,3,5,6501.894569,6501.876152,0.018418\n"
     )
 

@@ -45,6 +45,20 @@ def bases(monkeypatch):
 
 
 @pytest.fixture
+def stacks(monkeypatch):
+    """The shape of r, (matrices, basis), in every eigensolve call the
+    oracle makes, in order."""
+    shapes = []
+
+    def counted(r, v, k):
+        shapes.append(r.shape)
+        return dvr_eigenvalues(r, v, k)
+
+    monkeypatch.setattr(oracle, "dvr_eigenvalues", counted)
+    return shapes
+
+
+@pytest.fixture
 def groups(monkeypatch):
     """The J values of every group deviation_report solves in one basis,
     in order."""
@@ -389,13 +403,16 @@ def _agree_as_one_J(cell, alone, shared):
 
 @pytest.mark.parametrize("n_points", [20, 100, 2048])
 @pytest.mark.parametrize("name", ["NO", "O2", "O2+", "N2"])
-def test_deviation_report_equals_its_one_J_reports(db, groups, name, n_points):
+def test_deviation_report_equals_its_one_J_reports(db, stacks, groups, name, n_points):
+    # the J values of a report refine together, in stacks of mixed boxes;
     # a J that shares no basis keeps, bit for bit, the cell of a report at
-    # that J alone; one that shares it agrees within both oracle_err.  At
-    # the full budget J = 0 and 20 share J = 0's basis (2N = 88 to 110)
+    # that J alone, and one that shares it agrees within both oracle_err.
+    # At the full budget J = 0, 20, 40 and 60 share J = 0's basis (2N =
+    # 150 to 156) and J = 150 refines alone
     p = db.get(name)
-    nus, Js = [12, 0, 4], [150, 0, 20, 0, 60]
+    nus, Js = [12, 0, 4], [150, 0, 20, 0, 60, 40]
     report = deviation_report(p, nus, Js, n_points=n_points)
+    assert all(m * n * n <= max(n * n, oracle._STACK) for m, n in stacks)
     shared = {J for group in groups if len(group) > 1 for J in group}
     cells = {}
     for J in set(Js):
@@ -419,13 +436,30 @@ def test_nine_J_values_make_one_refinement_and_one_contraction(db, groups, lapac
     report = deviation_report(db.get("O2"), *REF_GRID)
     assert groups == [REF_GRID[1]]
     assert {row.basis for row in report.rows} == {74}
-    assert lapack == [("eigvalsh", (37, 37)), ("eigvalsh", (74, 74)),
+    assert lapack == [("eigvalsh", (1, 37, 37)), ("eigvalsh", (1, 74, 74)),
                       ("eigh", (74, 74)), ("eigvalsh", (8, 24, 24)),
                       ("eigvalsh", (8, 12, 12))]
     assert report.failures == []
+    # a contracted row's error adds |E_M - E_2M| to the reference's
+    # |E_N - E_2N| at that nu, which the J = 0 row reports
+    reference = {row.nu: row.oracle_err for row in report.rows if row.J == 0}
     for row in report.rows:
+        assert reference[row.nu] <= row.oracle_err <= DVR_TOL_CM1 + reference[row.nu]
         alone = deviation_report(db.get("O2"), [row.nu], [row.J]).rows[0]
         _agree_as_one_J(row, alone, set(REF_GRID[1]))
+
+
+def test_a_smaller_stack_cap_changes_only_the_call_count(db, stacks, groups, monkeypatch):
+    # three J values share no basis (fewer than _MIN_GROUP): each refines
+    # 35 -> 70 on its own box, one stack of 3 matrices per basis size
+    p = db.get("O2")
+    report = deviation_report(p, REF_GRID[0], [0, 10, 20])
+    assert groups == [[0], [10], [20]]
+    assert stacks == [(3, 35), (3, 70)]
+    stacks.clear()
+    monkeypatch.setattr(oracle, "_STACK", 3 * 35**2)  # 3 of 35, 1 of 70
+    assert deviation_report(p, REF_GRID[0], [0, 10, 20]) == report
+    assert stacks == [(3, 35)] + [(1, 70)] * 3
 
 
 @settings(max_examples=15, deadline=None,
