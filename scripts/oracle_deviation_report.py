@@ -1,9 +1,10 @@
 """Sinc-DVR cross-check of the closed-form level tables.
 
 For every molecule with a ro-vibrational reference table, solves the
-radial problem numerically (one dense sinc-DVR Hamiltonian per J,
-refined until N and 2N basis functions agree) and prints closed-form
-minus oracle for each level.  Where the table quotes a numerically
+radial problem numerically (oracle.deviation_report: a dense sinc-DVR
+Hamiltonian refined until N and 2N basis functions agree, its lowest
+eigenvectors shared by the J values whose levels fit its box) and
+prints closed-form minus oracle for each level.  Where the table quotes a numerically
 converged benchmark value, it also prints oracle minus benchmark, with
 the oracle solved for the benchmark's own exponent b = beta (1 - eta)
 (reference_levels.benchmark_params).  Entries listed in

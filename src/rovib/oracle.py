@@ -145,7 +145,7 @@ class _Wells(NamedTuple):
         reach = 256  # the integrals run over v[a:b], widened until both reach _TAIL
         while True:
             a, b = max(well - reach, 0), min(well + reach, r.size)
-            decay = np.sqrt(np.maximum(v[a:b] - E_top, 0.0) / k) * self.dr  # 0 in the well
+            decay = np.sqrt(np.maximum(v[a:b] - E_top, 0.0) / k) * self.dr  # 0 inside
             inner = np.searchsorted(np.cumsum(decay[well - a::-1]), _TAIL)
             outer = np.searchsorted(np.cumsum(decay[well - a:]), _TAIL)
             if (a == 0 or inner <= well - a) and (b == r.size or outer < b - well):
@@ -303,7 +303,8 @@ def _contracted(
     while pending and M <= n:
         phi = U[:, :2 * M]
         w = phi.T @ (phi / x[:, None] ** 2)  # <i| 1/r^2 |j>
-        h = np.array([(J * (J + 1) - ref * (ref + 1)) * k for J in pending])[:, None, None] * w
+        shift = np.array([(J * (J + 1) - ref * (ref + 1)) * k for J in pending])
+        h = shift[:, None, None] * w
         h[:, range(2 * M), range(2 * M)] += E[:2 * M]
         fine, coarse = np.linalg.eigvalsh(h), np.linalg.eigvalsh(h[:, :M, :M])
         for J, E_2M, E_M in zip(pending, fine, coarse):
@@ -346,7 +347,7 @@ def _levels(
             x = np.linspace(r_min, r_max, last[ref])
             out |= _contracted(x, _effective(model, x, ref * (ref + 1) * k), k, ref,
                                ready, shared)
-        if len(Js) > 1 and not all(isinstance(level, tuple) for level in out[ref].values()):
+        if len(Js) > 1 and not all(isinstance(lv, tuple) for lv in out[ref].values()):
             del out[ref]
         alone |= {J: (jobs[J][0], wells.box(jobs[J][2], jobs[J][1]))
                   for J in Js if J not in out}

@@ -33,8 +33,9 @@ _INV_E = math.exp(-1.0)
 
 # Largest sinc-DVR basis the oracle builds per J (a solve: 0.7 s, 65 MB
 # peak, 2 vCPUs, ~N^3), and most basis functions in one deviation_report,
-# len(J_list) x min(n_points, MAX_BASIS) (32 J at MAX_BASIS took 23 s and
-# 97 MB); kept here so that the CLI's checks do not load the oracle.
+# len(J_list) x min(n_points, MAX_BASIS) (32 J refined to 968-2048
+# functions each took 5-7 s and 96 MB); kept here so that the CLI's
+# checks do not load the oracle.
 MAX_BASIS = 2048
 MAX_ORACLE_POINTS = 2**16
 

@@ -380,9 +380,10 @@ def test_the_single_J_path_is_pinned(db, name):
     assert tuple(converge(from_params(p), J=20, mu=p.mu, nu=5)) == level
 
 
-# two converged solves of one level on different boxes differ by up to
-# 1.6e-9 cm^-1 (N2 nu = 0 at J = 1), where |E_N - E_2N| can read 0.0:
-# the refinement's estimate does not see the eigensolver's rounding
+# the refinement's |E_N - E_2N| does not see the eigensolver's rounding:
+# refined on boxes of 440 and 448 functions, N2's nu = 1, J = 0 level
+# moves 5.4e-10 cm^-1 more than both estimates summed, and an estimate
+# can read 0.0
 ROUNDING_CM1 = 2.0e-9
 
 
@@ -447,6 +448,37 @@ def test_nine_J_values_make_one_refinement_and_one_contraction(db, groups, lapac
         assert reference[row.nu] <= row.oracle_err <= DVR_TOL_CM1 + reference[row.nu]
         alone = deviation_report(db.get("O2"), [row.nu], [row.J]).rows[0]
         _agree_as_one_J(row, alone, set(REF_GRID[1]))
+
+
+def test_groups_follow_the_well_top_and_the_box_rule(db, groups):
+    # NO: from J = 50 on, J = 0's box at the group's highest level needs
+    # more than 5/4 of a J's own first N; a group of one refines alone
+    deviation_report(db.get("NO"), [0, 3, 5], list(range(0, 201, 10)))
+    assert groups == [[0, 10, 20, 30, 40]] + [[J] for J in range(50, 200, 10)]
+    # NO at a budget of 64, where every first N is 32, so the box rule
+    # holds: the nu = 53 level of each J from 13 to 15 lies above the
+    # well top of the J before it, so each refines alone (J = 16 and 17
+    # hold no such level)
+    groups.clear()
+    deviation_report(db.get("NO"), [53], list(range(12, 18)), n_points=64)
+    assert groups == [[12], [13], [14], [15]]
+
+
+def test_a_contraction_doubles_M_until_every_level_settles(db, groups, lapack):
+    # nu = 0 alone starts at M = 2: J = 5 and 10 settle at M = 4 -> 8,
+    # J = 15 at 8 -> 16; J = 20 refines alone (the box rule)
+    p = db.get("NO")
+    report = deviation_report(p, [0], [0, 5, 10, 15, 20])
+    assert groups == [[0, 5, 10, 15], [20]]
+    after = lapack[[solve for solve, _ in lapack].index("eigh") + 1:]
+    assert [shape for _, shape in after][:6] == [
+        (3, 4, 4), (3, 2, 2), (3, 8, 8), (3, 4, 4), (1, 16, 16), (1, 8, 8)]
+    reference = report.rows[0].oracle_err
+    for row in report.rows:
+        alone = deviation_report(p, [0], [row.J]).rows[0]
+        _agree_as_one_J(row, alone, {0, 5, 10, 15})
+        if row.J in (5, 10, 15):
+            assert reference <= row.oracle_err <= DVR_TOL_CM1 + reference
 
 
 def test_a_smaller_stack_cap_changes_only_the_call_count(db, stacks, groups, monkeypatch):
